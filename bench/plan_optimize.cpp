@@ -17,8 +17,8 @@
 // Exit codes: 0 ok, 1 assertion failed, 2 optimized output not
 // byte-identical to the unoptimized plan's.
 //
-// Other knobs: --backend=scalar|blocked|simd (kernel backend for both
-// sessions), --threads=N (intra-op threads), --batch=N (samples per
+// Other knobs: --backend=scalar|simd (kernel backend for both
+// sessions, default deploy::kDefaultBackend), --threads=N (intra-op threads), --batch=N (samples per
 // run), --repeat=N (timed runs per session; best-of reported).
 
 #include <cstdio>
@@ -63,7 +63,8 @@ int main(int argc, char** argv) {
   const double assert_speedup = cli.get_double("assert-speedup", 0.0);
   deploy::BackendKind backend_kind;
   try {
-    backend_kind = deploy::parse_backend_kind(cli.get("backend", "scalar"));
+    backend_kind = deploy::parse_backend_kind(
+        cli.get("backend", deploy::backend_kind_name(deploy::kDefaultBackend)));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "plan_optimize: %s\n", e.what());
     return 1;

@@ -13,6 +13,8 @@
 //                      --fast drops it to 4)
 //   --batch            samples per run (default 8)
 //   --json             machine-readable per-op profiles for the CI artifact
+//                      (wall_ms / attributed_ms are totals over all
+//                      `runs`; the table prints them per run)
 //   --assert_coverage  fail (exit 1) when attributed_ms / wall_ms falls
 //                      below F for any model x backend (e.g. 0.9)
 
@@ -39,8 +41,8 @@ using namespace cq;
 struct Result {
   std::string model;
   std::string backend;
-  double wall_ms = 0.0;        ///< end-to-end run() wall time, summed
-  double attributed_ms = 0.0;  ///< profiler total across all ops
+  double wall_ms = 0.0;        ///< end-to-end run() wall time, summed over runs
+  double attributed_ms = 0.0;  ///< profiler total across all ops and runs
   double coverage = 0.0;       ///< attributed_ms / wall_ms
   obs::ProfileReport report;
 };
@@ -125,13 +127,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  util::Table table({"model", "backend", "wall ms", "attributed ms", "coverage",
-                     "top kind", "kind share"});
+  util::Table table({"model", "backend", "wall ms/run", "attributed ms/run",
+                     "coverage", "top kind", "kind share"});
   bool covered = true;
   for (const Result& r : results) {
     const obs::ProfileAggregate* top = top_kind(r.report);
-    table.add_row({r.model, r.backend, util::Table::num(r.wall_ms, 2),
-                   util::Table::num(r.attributed_ms, 2),
+    table.add_row({r.model, r.backend, util::Table::num(r.wall_ms / repeat, 3),
+                   util::Table::num(r.attributed_ms / repeat, 3),
                    util::Table::num(100.0 * r.coverage, 1) + "%",
                    top != nullptr ? top->key : "-",
                    top != nullptr ? util::Table::num(100.0 * top->share, 1) + "%"

@@ -17,7 +17,8 @@
 // arrangement and a forward-pass activation calibration before export.
 //
 // Run: ./serve_throughput [--fast] [--requests=N] [--threads=N]
-//                         [--backend=scalar|blocked|simd]  (kernel backend, all sections)
+//                         [--backend=scalar|simd]  (kernel backend, all sections;
+//                          default deploy::kDefaultBackend)
 //                         [--json=sweep.json]   (section 3, machine-readable;
 //                          records the backend so artifacts from different
 //                          backends stay distinguishable in the trajectory.
@@ -115,7 +116,8 @@ int main(int argc, char** argv) {
   const long requests = cli.get_int("requests", fast ? 96 : 512);
   const long threads = cli.get_int("threads", 8);
   const deploy::BackendKind backend =
-      deploy::parse_backend_kind(cli.get("backend", "scalar"));
+      deploy::parse_backend_kind(
+          cli.get("backend", deploy::backend_kind_name(deploy::kDefaultBackend)));
 
   util::Rng rng(7);
   const deploy::QuantizedArtifact artifact = make_artifact(rng);

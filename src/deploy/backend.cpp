@@ -126,8 +126,6 @@ const char* backend_kind_name(BackendKind kind) {
   switch (kind) {
     case BackendKind::Scalar:
       return "scalar";
-    case BackendKind::Blocked:
-      return "blocked";
     case BackendKind::Simd:
       return "simd";
   }
@@ -135,14 +133,14 @@ const char* backend_kind_name(BackendKind kind) {
 }
 
 const std::vector<BackendKind>& all_backend_kinds() {
-  static const std::vector<BackendKind> kinds = {
-      BackendKind::Scalar, BackendKind::Blocked, BackendKind::Simd};
+  static const std::vector<BackendKind> kinds = {BackendKind::Scalar,
+                                                 BackendKind::Simd};
   return kinds;
 }
 
 namespace {
 
-/// "scalar, blocked, simd" — the `known:` clause every selection error
+/// "scalar, simd" — the `known:` clause every selection error
 /// carries so a typo'd --backend or a stale config names its options.
 std::string known_backend_kinds() {
   std::string known;
@@ -167,8 +165,6 @@ std::unique_ptr<Backend> make_backend(BackendKind kind) {
   switch (kind) {
     case BackendKind::Scalar:
       return std::make_unique<ScalarBackend>();
-    case BackendKind::Blocked:
-      return std::make_unique<BlockedBackend>();
     case BackendKind::Simd:
       return std::make_unique<SimdBackend>();
   }

@@ -45,7 +45,7 @@ struct BackendScratch {
 /// executes while the plan fixes *what* it computes. This is the
 /// paper's "uniform codes run on existing processors directly" claim
 /// made concrete — swapping the backend swaps the execution strategy
-/// (scalar reference, cache-blocked, a future ISA- or
+/// (the scalar reference, the explicit-SIMD integer backend, a future
 /// accelerator-specific variant) without touching compilation,
 /// scheduling, or serving.
 ///
@@ -70,7 +70,7 @@ class Backend {
  public:
   virtual ~Backend() = default;
 
-  /// Stable lowercase identifier ("scalar", "blocked") used by CLI
+  /// Stable lowercase identifier ("scalar", "simd") used by CLI
   /// flags, bench JSON records and listings.
   virtual const char* name() const = 0;
 
@@ -113,10 +113,17 @@ void apply_epilogue(const PlanOp& op, const BackendIo& io,
                     std::size_t out_numel_per_sample,
                     const util::ExecContext& exec = {});
 
-/// The registered backend implementations.
-enum class BackendKind { Scalar, Blocked, Simd };
+/// The registered backend implementations: the byte-exact reference
+/// and the fast integer path.
+enum class BackendKind { Scalar, Simd };
 
-/// Stable name of a kind ("scalar", "blocked", "simd").
+/// The backend every entry point (EngineSession, ServerConfig, the
+/// tools and benches) uses when none is named: the fastest measured
+/// one. Its tier resolves at runtime and CQ_SIMD=off forces the scalar
+/// reference, so the default is safe on every CPU.
+inline constexpr BackendKind kDefaultBackend = BackendKind::Simd;
+
+/// Stable name of a kind ("scalar", "simd").
 const char* backend_kind_name(BackendKind kind);
 
 /// Parses a backend name; throws std::invalid_argument naming the
@@ -137,94 +144,21 @@ class ScalarBackend : public Backend {
   const char* name() const override { return "scalar"; }
   void run(const PlanOp& op, const ExecutionPlan& plan, const BackendIo& io,
            BackendScratch& scratch, const util::ExecContext& exec) const override;
-};
-
-namespace blocked {
-
-/// Filters per packed panel: the inner kernels broadcast one im2col /
-/// activation row across this many output filters, so each code row is
-/// read once per tile instead of once per filter.
-inline constexpr int kFilterTile = 8;
-/// Output positions per cache block of the conv kernel; the int64
-/// accumulator tile (kFilterTile x kSpatialBlock) stays L1-resident.
-inline constexpr int kSpatialBlock = 128;
-
-/// Backend-owned packed layout of one IntegerLayer: centered doubled
-/// weight codes (2q - (levels-1), the value the MAC loop actually
-/// multiplies by) narrowed to int16 and interleaved into panels of
-/// kFilterTile filters — panels[tile][j][lane] — so the 2-4-bit rows
-/// of a tile are contiguous for the inner loop. Per-filter rescale
-/// state rides along, with pruned (0-bit) filters encoded as
-/// scale = bias = 0 so they cost no branch in the hot loop.
-struct PackedCodes {
-  std::int32_t num_filters = 0;
-  std::int64_t weights_per_filter = 0;
-  /// False when some filter's centered codes exceed int16 (bits > 15);
-  /// BlockedBackend then delegates the layer to the scalar kernels.
-  bool usable = false;
-  std::vector<std::int16_t> panels;   ///< [ceil(F/tile)][per_filter][tile]
-  std::vector<float> weight_scales;   ///< IntegerLayer::weight_scale(k); 0 if pruned
-  std::vector<float> out_bias;        ///< per-filter bias; forced 0 if pruned
-  /// Largest |centered code| over all filters: with the activation
-  /// code bound it proves when a whole reduction fits exactly in
-  /// int32, unlocking the vectorizable narrow-accumulator path (int64
-  /// multiplies do not vectorize on most SIMD ISAs; int32 ones do).
-  std::int32_t max_abs_weight = 0;
-};
-
-/// Packs an IntegerLayer into the blocked layout (done once at
-/// Backend::prepare time, never on the serving path).
-PackedCodes pack_codes(const IntegerLayer& layer);
-
-/// Cache-blocked integer convolution: same im2col as the scalar
-/// kernel, then a tiled MAC stage — kFilterTile filters x kSpatialBlock
-/// output positions per block, int64 accumulation. Exact integer
-/// arithmetic plus the scalar kernel's final rescale expression makes
-/// the output byte-identical to integer_conv_forward_into at any
-/// thread count. Parallelism: filter tiles chunk over `exec`.
-void conv_forward_into(const PackedCodes& packed, const ActCodes& acts, int batch,
-                       int in_c, int height, int width, int kernel, int stride,
-                       int pad, float* out, std::vector<std::int32_t>& cols_scratch,
-                       const util::ExecContext& exec = {});
-
-/// Blocked fully-connected kernel: per filter tile, the int16 weight
-/// panel (L1-resident) is swept once per sample with a kFilterTile-wide
-/// accumulator. Byte-identical to integer_linear_forward_into.
-void linear_forward_into(const PackedCodes& packed, const ActCodes& acts, int batch,
-                         int in_features, float* out,
-                         const util::ExecContext& exec = {});
-
-}  // namespace blocked
-
-/// Cache-blocked/packed integer backend: IntConv/IntLinear run the
-/// blocked:: kernels over panel layouts built in prepare(); every
-/// other op (and any integer layer the layout cannot hold) delegates
-/// to the scalar reference. Byte-identical to ScalarBackend on every
-/// plan op — the cross-backend property test enforces it.
-class BlockedBackend : public ScalarBackend {
- public:
-  const char* name() const override { return "blocked"; }
-  void prepare(const ExecutionPlan& plan) override;
-  void run(const PlanOp& op, const ExecutionPlan& plan, const BackendIo& io,
-           BackendScratch& scratch, const util::ExecContext& exec) const override;
-  const char* dispatch(const PlanOp& op) const override;
-  /// Bytes held by the packed int16 panels + rescale vectors.
-  std::size_t prepared_bytes() const override;
-
- private:
-  std::vector<blocked::PackedCodes> packed_;  ///< by PlanOp::layer
-  /// Identity of the plan prepare() packed for; run() refuses any
-  /// other plan (same-sized layer lists would otherwise silently
-  /// execute with the wrong weights).
-  const ExecutionPlan* prepared_for_ = nullptr;
+  /// Always "scalar" — also for subclasses' ops delegated here.
+  const char* dispatch(const PlanOp&) const override { return "scalar"; }
 };
 
 namespace simd {
 
-/// Backend-owned explicit-SIMD layout of one IntegerLayer. Two
-/// reduction-interleaved views of the same centered doubled codes the
-/// blocked panels hold, shaped for the multiply-accumulate
-/// instructions instead of for cache lines:
+/// Filters per packed panel: the kernels broadcast one activation row
+/// across this many output filters — one ymm of int32 lanes — so each
+/// code row is read once per tile instead of once per filter.
+inline constexpr int kFilterTile = 8;
+
+/// Backend-owned explicit-SIMD layout of one IntegerLayer: the
+/// centered doubled weight codes (2q - (levels-1), the value the MAC
+/// actually multiplies by) interleaved in three views shaped for the
+/// multiply-accumulate instructions:
 ///
 ///  - pair_panels (int16): kFilterTile filters x adjacent reduction
 ///    *pairs* — pair_panels[tile][j/2][f] is the 32-bit lane
@@ -234,8 +168,8 @@ namespace simd {
 ///  - quad_panels (int8): the same for reduction *quads*, feeding the
 ///    maddubs_epi16 u8 x s8 path; built only when every centered code
 ///    fits int8.
-///  - lane_panels (int16): the blocked backend's [j][lane] panel shape
-///    (one row of kFilterTile filters per reduction index), which the
+///  - lane_panels (int16): the [j][lane] panel shape (one row of
+///    kFilterTile filters per reduction index), which the
 ///    portable tier's generic GCC-vector-extension kernels (non-x86
 ///    builds, or 16-bit activation codes) widen and multiply directly;
 ///    on x86-64 the portable tier rides pair_panels via baseline-SSE2
@@ -244,13 +178,16 @@ struct PackedSimd {
   std::int32_t num_filters = 0;
   std::int64_t weights_per_filter = 0;
   /// False when some filter's centered codes exceed int16 (bits > 15);
-  /// the layer then stays on the blocked/scalar kernels entirely.
+  /// the layer then stays on the scalar reference kernels entirely.
   bool usable = false;
   /// True when max|centered code| <= 127 so the quad panels exist; the
   /// per-dispatch int8 decision additionally needs the activation
   /// grid, via int_reduction_fits_int8_madd (deploy/overflow.h).
   bool int8_usable = false;
-  std::int32_t max_abs_weight = 0;  ///< shared overflow-bound input
+  /// Largest |centered code| over all filters (max_abs_centered_code):
+  /// the shared overflow-bound input that, with the activation bits,
+  /// decides whether a reduction is certified for the int32 kernels.
+  std::int32_t max_abs_weight = 0;
   std::vector<std::int16_t> lane_panels;  ///< [tiles][J][tile]
   std::vector<std::int16_t> pair_panels;  ///< [tiles][ceil(J/2)][tile][2]
   std::vector<std::int8_t> quad_panels;   ///< [tiles][ceil(J/4)][tile][4]
@@ -263,8 +200,8 @@ PackedSimd pack_simd(const IntegerLayer& layer);
 
 /// Explicit-SIMD integer convolution. Requires packed.usable, a tier
 /// above kScalar, and a reduction that provably fits int32
-/// (deploy/overflow.h) — callers below the bound delegate to the
-/// blocked int64 kernels instead. Same im2col and final rescale
+/// (deploy/overflow.h) — callers without that certificate run the
+/// scalar int64 reference instead. Same im2col and final rescale
 /// expressions as the scalar kernel, so outputs are byte-identical at
 /// every tier and thread count. cols_scratch holds the int32 im2col
 /// matrix; cols16/cols8 the interleaved narrowed copies (int8 used
@@ -294,14 +231,14 @@ void linear_forward_into(SimdTier tier, const PackedSimd& packed, const ActCodes
 /// when the shared overflow bound proves saturation impossible) on
 /// CPUs that have AVX2, portable kernels everywhere else
 /// (baseline-SSE2 pmaddwd on x86-64, GCC vector extensions
-/// otherwise),
-/// and delegate to the blocked/scalar kernels when the int32
-/// accumulator is not certified or explicit SIMD is disabled
-/// (CQ_SIMD=off). The tier is resolved by runtime CPUID at
+/// otherwise). Every other op — and any integer op whose int32
+/// accumulator is not certified, whose layer is above 15 bits, or that
+/// runs with explicit SIMD disabled (CQ_SIMD=off) — delegates to the
+/// scalar reference. The tier is resolved by runtime CPUID at
 /// construction — one binary, every x86 — and every tier is
 /// byte-identical to ScalarBackend (backend_test pins each reachable
 /// tier).
-class SimdBackend : public BlockedBackend {
+class SimdBackend : public ScalarBackend {
  public:
   SimdBackend() : tier_(resolve_simd_tier()) {}
 
@@ -310,10 +247,10 @@ class SimdBackend : public BlockedBackend {
   void run(const PlanOp& op, const ExecutionPlan& plan, const BackendIo& io,
            BackendScratch& scratch, const util::ExecContext& exec) const override;
   /// "simd/avx2-i8", "simd/avx2", "simd/portable", or the delegated
-  /// implementation's label ("blocked"/"scalar") — the resolved ISA
+  /// reference's label ("scalar") for delegated ops — the resolved ISA
   /// cqar_info's dispatch column and the plan profiler rows show.
   const char* dispatch(const PlanOp& op) const override;
-  /// Blocked panels plus the pair/quad SIMD panels.
+  /// Bytes held by the lane/pair/quad panels + rescale vectors.
   std::size_t prepared_bytes() const override;
 
   /// The tier this instance resolved at construction.
@@ -328,6 +265,9 @@ class SimdBackend : public BlockedBackend {
 
   SimdTier tier_;
   std::vector<simd::PackedSimd> packed_;  ///< by PlanOp::layer
+  /// Identity of the plan prepare() packed for; run() refuses any
+  /// other plan (same-sized layer lists would otherwise silently
+  /// execute with the wrong weights).
   const ExecutionPlan* prepared_for_ = nullptr;
 };
 

@@ -1,10 +1,9 @@
 // Explicit-SIMD integer backend.
 //
-// The blocked kernels rely on the compiler autovectorizing their int32
-// fast path at the build's baseline ISA (SSE2 for x86-64). This
-// backend spends the instructions by hand where it pays: the conv MAC
-// tile and the linear panel sweep run as AVX2 intrinsic kernels —
-// _mm256_madd_epi16 over pair-interleaved int16 panels, or
+// The scalar reference kernels accumulate in int64 one filter at a
+// time. This backend spends the instructions by hand where it pays:
+// the conv MAC tile and the linear panel sweep run as AVX2 intrinsic
+// kernels — _mm256_madd_epi16 over pair-interleaved int16 panels, or
 // _mm256_maddubs_epi16 over quad-interleaved int8 panels when the
 // shared overflow bound (deploy/overflow.h) proves the instruction's
 // saturating intermediate unreachable — and, below AVX2, as the
@@ -19,8 +18,7 @@
 // final rescale uses the scalar kernel's exact float expressions
 // (multiply then add — never FMA, which rounds differently), and the
 // fused tail goes through the shared apply_epilogue. Anything the
-// SIMD layouts cannot hold exactly delegates to the blocked/scalar
-// kernels.
+// SIMD layouts cannot hold exactly delegates to the scalar reference.
 
 #include <algorithm>
 #include <cstring>
@@ -52,8 +50,6 @@
 namespace cq::deploy {
 namespace simd {
 
-using blocked::kFilterTile;
-
 static_assert(kFilterTile == 8,
               "SIMD kernels assume 8-filter panels: one ymm of int32 lanes");
 
@@ -64,10 +60,13 @@ PackedSimd pack_simd(const IntegerLayer& layer) {
   for (const std::uint8_t b : layer.filter_bits) {
     // Centered doubled codes span [-(levels-1), levels-1]; above 15
     // bits they overflow the int16 panels, and the layer stays on the
-    // blocked/scalar kernels (same cutoff as blocked::pack_codes).
+    // scalar reference kernels.
     if (b > 15) return packed;
   }
   packed.usable = true;
+  // The shared overflow-bound helper (deploy/overflow.h) scans the
+  // same codes the packing loop below narrows, so the int32 dispatch
+  // decision here and verify_plan's certification cannot diverge.
   packed.max_abs_weight = max_abs_centered_code(layer);
   packed.int8_usable = packed.max_abs_weight <= 127;
 
@@ -118,8 +117,9 @@ PackedSimd pack_simd(const IntegerLayer& layer) {
 
 namespace {
 
-/// Samples per weight-panel sweep of the linear kernels (matches the
-/// blocked kernel's amortization of weight traffic over the batch).
+/// Samples per weight-panel sweep of the linear kernels: each panel
+/// row is loaded once and multiplied into this many samples'
+/// accumulators, amortizing the weight traffic over the batch.
 inline constexpr int kBatchBlock = 4;
 
 void check_packed(const PackedSimd& packed, SimdTier tier, const char* kernel) {
@@ -130,7 +130,7 @@ void check_packed(const PackedSimd& packed, SimdTier tier, const char* kernel) {
   if (tier == SimdTier::kScalar) {
     throw std::logic_error(std::string(kernel) +
                            ": tier 'scalar' disables the explicit-SIMD kernels "
-                           "(use the blocked or scalar kernels)");
+                           "(use the scalar kernels)");
   }
 }
 
@@ -140,7 +140,7 @@ void check_fits_int32(const PackedSimd& packed, const ActCodes& acts,
                                 static_cast<std::int64_t>(terms))) {
     throw std::logic_error(std::string(kernel) +
                            ": reduction is not certified for the int32 "
-                           "accumulator (use the blocked kernels)");
+                           "accumulator (use the scalar kernels)");
   }
 }
 
@@ -197,7 +197,7 @@ void build_quad_cols(const std::int32_t* cols, std::size_t patch,
 // binary runs. On x86-64 the portable tier instead uses the
 // baseline-SSE2 pmaddwd kernels further down (the psABI guarantees
 // SSE2, and emulated int32 vector multiplies make these generic
-// kernels lose to the blocked backend there); these remain the
+// kernels slow there); these remain the
 // portable implementation for non-x86 builds and for 16-bit
 // activation codes, which don't fit the int16 pair layout.
 // ---------------------------------------------------------------------------
@@ -770,7 +770,7 @@ void conv_forward_into(SimdTier tier, const PackedSimd& packed, const ActCodes& 
 
   for (int n = 0; n < batch; ++n) {
     const std::int32_t* img = acts.codes.data() + static_cast<std::size_t>(n) * image;
-    // Same im2col as the scalar/blocked kernels: the SIMD layouts only
+    // Same im2col as the scalar kernel: the SIMD layouts only
     // change the MAC stage. Zero padding is code 0 = activation 0.0.
     tensor::im2col_any(img, geometry, cols_data, exec);
     float* out_n = out + static_cast<std::size_t>(n) * filters * spatial;
@@ -887,7 +887,6 @@ void linear_forward_into(SimdTier tier, const PackedSimd& packed, const ActCodes
 }  // namespace simd
 
 void SimdBackend::prepare(const ExecutionPlan& plan) {
-  BlockedBackend::prepare(plan);
   packed_.clear();
   packed_.reserve(plan.integer_layers().size());
   for (const IntegerLayer& layer : plan.integer_layers()) {
@@ -905,8 +904,8 @@ SimdBackend::Path SimdBackend::resolve_path(const PlanOp& op) const {
   if (layer >= packed_.size() || !packed_[layer].usable) return Path::kDelegate;
   const simd::PackedSimd& packed = packed_[layer];
   const std::int64_t terms = packed.weights_per_filter;
-  // Below the int32 bound the blocked kernels' int64 path is already
-  // the right tool; explicit SIMD only covers the certified reductions.
+  // Explicit SIMD only covers the certified reductions; anything that
+  // may leave int32 runs the scalar reference's int64 accumulator.
   if (!int_reduction_fits_int32(packed.max_abs_weight, op.act_bits, terms)) {
     return Path::kDelegate;
   }
@@ -962,7 +961,7 @@ void SimdBackend::run(const PlanOp& op, const ExecutionPlan& plan,
       return;
     }
   }
-  BlockedBackend::run(op, plan, io, scratch, exec);
+  ScalarBackend::run(op, plan, io, scratch, exec);
 }
 
 const char* SimdBackend::dispatch(const PlanOp& op) const {
@@ -976,11 +975,11 @@ const char* SimdBackend::dispatch(const PlanOp& op) const {
     case Path::kDelegate:
       break;
   }
-  return BlockedBackend::dispatch(op);
+  return ScalarBackend::dispatch(op);
 }
 
 std::size_t SimdBackend::prepared_bytes() const {
-  std::size_t bytes = BlockedBackend::prepared_bytes();
+  std::size_t bytes = 0;
   for (const simd::PackedSimd& packed : packed_) {
     bytes += packed.lane_panels.size() * sizeof(std::int16_t) +
              packed.pair_panels.size() * sizeof(std::int16_t) +

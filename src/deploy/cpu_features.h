@@ -28,8 +28,8 @@ struct CpuFeatures {
 const CpuFeatures& cpu_features();
 
 /// Execution tiers of the explicit-SIMD backend, ordered by
-/// capability. Scalar = explicit SIMD off (delegate to the blocked /
-/// scalar kernels); Portable = kernels legal on every CPU the binary
+/// capability. Scalar = explicit SIMD off (delegate to the scalar
+/// reference kernels); Portable = kernels legal on every CPU the binary
 /// runs on without a runtime check (baseline-SSE2 pmaddwd on x86-64,
 /// GCC vector extensions elsewhere); Avx2 = hand-scheduled AVX2
 /// intrinsic kernels, legal only when cpu_features().avx2.

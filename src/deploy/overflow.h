@@ -2,7 +2,7 @@
 
 // The integer-path accumulator overflow bound, in one place.
 //
-// The blocked backend's int32 fast path and the plan verifier's
+// The simd backend's int32 kernel dispatch and the plan verifier's
 // overflow certification must make the *same* decision from the same
 // numbers: a reduction over `terms` products of centered doubled
 // weight codes (|w| <= max_abs_weight) and activation codes
@@ -11,10 +11,10 @@
 //     max|acc| <= max_abs_weight * act_max * terms
 //
 // and integer sums below a type's max are exact in that type. Keeping
-// the bound here — used by blocked::pack_codes, the blocked kernels'
-// accumulator selection, and deploy::verify_plan — makes it impossible
-// for the backend and the verifier to disagree about when the narrow
-// accumulator is licensed.
+// the bound here — used by simd::pack_simd, SimdBackend's dispatch,
+// and deploy::verify_plan — makes it impossible for the backend and
+// the verifier to disagree about when the narrow accumulator is
+// licensed.
 
 #include <cstdint>
 #include <limits>
@@ -65,10 +65,11 @@ inline std::int64_t int_reduction_bound(std::int32_t max_abs_weight, int act_bit
 }
 
 /// True when every possible reduction provably fits an int32
-/// accumulator — the decision blocked::conv/linear take per dispatch.
-/// Below the bound integer sums are exact in any width, so the narrow
-/// accumulator changes nothing but speed (int32 MACs vectorize; int64
-/// ones don't).
+/// accumulator — the decision SimdBackend takes per dispatch (the
+/// explicit kernels run, or the op delegates to the int64 scalar
+/// reference). Below the bound integer sums are exact in any width, so
+/// the narrow accumulator changes nothing but speed (int32 MACs
+/// vectorize; int64 ones don't).
 inline bool int_reduction_fits_int32(std::int32_t max_abs_weight, int act_bits,
                                      std::int64_t terms) {
   if (act_bits < 1 || act_bits > 16) return false;

@@ -5,7 +5,7 @@
 // dataflow is re-walked, shapes are re-derived, slot lifetimes are
 // recomputed from the op list, and the integer-path overflow bound is
 // recomputed from the actual packed codes through the same
-// deploy/overflow.h helper the blocked backend dispatches on. Anything
+// deploy/overflow.h helper the simd backend dispatches on. Anything
 // that rewrites the IR — today's compiler, the ROADMAP's optimizer
 // passes — must produce programs that come back clean.
 //
@@ -460,9 +460,9 @@ class Verifier {
   /// must match the op records; every code must respect its declared
   /// bit-width (the premise of the overflow bound); and the
   /// accumulator bound — recomputed from the actual codes through
-  /// deploy/overflow.h, the helper BlockedBackend itself dispatches on
+  /// deploy/overflow.h, the helper SimdBackend itself dispatches on
   /// — must certify int64 safety. The certificate also records the
-  /// int32 fast-path decision the blocked kernels will take.
+  /// int32 fast-path decision the simd kernels will take.
   void check_integer_path() {
     for (int i = 0; i < num_ops_; ++i) {
       const PlanOp& op = plan_.ops()[static_cast<std::size_t>(i)];

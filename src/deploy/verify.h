@@ -57,7 +57,7 @@ struct PlanDiagnostic {
 
 /// Overflow certificate of one integer op: the bound recomputed from
 /// the actual packed codes via deploy/overflow.h — the same helper
-/// BlockedBackend's dispatch calls, so the `int32_fast_path` recorded
+/// SimdBackend's dispatch calls, so the `int32_fast_path` recorded
 /// here is by construction the decision the backend takes.
 struct IntOpCertificate {
   int op = -1;
@@ -66,7 +66,10 @@ struct IntOpCertificate {
   std::int64_t terms = 0;          ///< reduction length per output
   std::int64_t bound = 0;          ///< worst-case |accumulator| (saturated)
   bool fits_int64 = false;         ///< scalar kernels' accumulator is exact
-  bool int32_fast_path = false;    ///< blocked kernels take the narrow path
+  /// SimdBackend's explicit kernels may run this op (the int32
+  /// accumulator is exact); otherwise it delegates to the scalar
+  /// reference's int64 accumulator.
+  bool int32_fast_path = false;
   /// SimdBackend's maddubs int8 path is proven exact for this op
   /// (int_reduction_fits_int8_madd — the saturating pair sum cannot be
   /// reached); implies int32_fast_path.

@@ -79,7 +79,7 @@ EngineSession::EngineSession(std::shared_ptr<const deploy::ExecutionPlan> plan,
                                   deploy::format_diagnostics(report));
     }
   }
-  if (backend_ == nullptr) backend_ = deploy::make_backend(deploy::BackendKind::Scalar);
+  if (backend_ == nullptr) backend_ = deploy::make_backend(deploy::kDefaultBackend);
   // The one-time hook: backends build packed/retiled weight layouts
   // here, before any context can run an op.
   backend_->prepare(*plan_);

@@ -43,8 +43,8 @@ enum class PlanOpt { kO0, kO1 };
 /// op records with residual routing and the float-vs-integer path
 /// choice fixed at compile time. No nn::Module is instantiated or
 /// walked at serving time — and no kernel is called directly either:
-/// every op is dispatched through a deploy::Backend (scalar reference
-/// by default), so *how* an op executes is swappable per session while
+/// every op is dispatched through a deploy::Backend
+/// (deploy::kDefaultBackend unless one is passed), so *how* an op executes is swappable per session while
 /// the plan fixes *what* it computes. The backend's prepare() hook
 /// runs once at construction, against the compiled plan.
 ///
@@ -73,7 +73,7 @@ class EngineSession {
   /// runs the deploy::optimize_plan pass pipeline over the result — and
   /// builds the session with `contexts` concurrent execution contexts
   /// (>= 1), an intra-op execution context (default: serial kernels),
-  /// and a kernel backend (default: the scalar reference). Throws
+  /// and a kernel backend (default: deploy::kDefaultBackend). Throws
   /// deploy::ArtifactError on malformed artifacts.
   explicit EngineSession(const deploy::QuantizedArtifact& artifact, int contexts = 1,
                          util::ExecContext exec = {},

@@ -29,10 +29,10 @@ struct ServerConfig {
   /// cuts single-request latency).
   int intra_threads = 1;
   /// Kernel backend the engine dispatches every plan op through
-  /// (deploy::make_backend): the scalar reference or the
-  /// blocked/packed integer backend. Both are byte-identical, so this
-  /// only trades execution speed.
-  deploy::BackendKind backend = deploy::BackendKind::Scalar;
+  /// (deploy::make_backend): the scalar reference or the explicit-SIMD
+  /// integer backend. Both are byte-identical, so this only trades
+  /// execution speed.
+  deploy::BackendKind backend = deploy::kDefaultBackend;
   /// Plan optimization level for the compiled artifact: PlanOpt::kO1
   /// (default) runs the deploy::optimize_plan pipeline — byte-exact, so
   /// it only trades execution speed; PlanOpt::kO0 serves the plan as

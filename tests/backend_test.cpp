@@ -20,8 +20,10 @@
 #include "deploy/backend.h"
 #include "deploy/cpu_features.h"
 #include "deploy/int_engine.h"
+#include "deploy/overflow.h"
 #include "deploy/plan.h"
 #include "serve/engine_session.h"
+#include "serve/server.h"
 #include "serve_fixtures.h"
 #include "tensor/tensor.h"
 #include "util/exec_context.h"
@@ -86,102 +88,106 @@ void expect_bytes_equal(const float* a, const float* b, std::size_t n,
   ASSERT_EQ(0, std::memcmp(a, b, n * sizeof(float))) << what;
 }
 
-// Filter counts straddling the kFilterTile = 8 panel boundary (odd,
-// exact multiple, one past) so tail tiles and full tiles both run.
-TEST(BackendIdentity, BlockedConvMatchesScalarOverShapes) {
-  struct Shape {
-    int in_c, hw, filters, kernel, stride, pad;
-  };
-  const Shape shapes[] = {
-      {3, 9, 5, 3, 1, 1},    // tiny, tail tile only
-      {8, 12, 16, 3, 1, 1},  // exact tile multiple
-      {6, 10, 17, 3, 2, 0},  // one past a tile boundary, strided, no pad
-      {4, 7, 13, 5, 1, 2},   // odd everything, large kernel
-  };
-  util::Rng rng(101);
-  for (const Shape& s : shapes) {
-    const std::int64_t per_filter =
-        static_cast<std::int64_t>(s.in_c) * s.kernel * s.kernel;
-    const IntegerLayer layer = random_integer_layer(s.filters, per_filter, rng);
-    const blocked::PackedCodes packed = blocked::pack_codes(layer);
-    ASSERT_TRUE(packed.usable);
-    for (const int batch : {1, 3, 8}) {
-      const ActCodes acts = random_act_codes(
-          static_cast<std::size_t>(batch) * s.in_c * s.hw * s.hw, 3, rng);
-      const Tensor reference = integer_conv_forward(
-          layer, acts, batch, s.in_c, s.hw, s.hw, s.kernel, s.stride, s.pad);
-      for (const int threads : {1, 2, 8}) {
-        ThreadedExec te(threads);
-        std::vector<float> out(reference.numel());
-        std::vector<std::int32_t> cols;
-        blocked::conv_forward_into(packed, acts, batch, s.in_c, s.hw, s.hw, s.kernel,
-                                   s.stride, s.pad, out.data(), cols, te.exec);
-        expect_bytes_equal(out.data(), reference.data(), reference.numel(),
-                           "conv filters=" + std::to_string(s.filters) +
-                               " batch=" + std::to_string(batch) +
-                               " threads=" + std::to_string(threads));
-      }
-    }
-  }
+/// Scalar reference session: the byte-exact baseline every other
+/// backend is compared against (the default backend is simd).
+serve::EngineSession scalar_session(std::shared_ptr<const ExecutionPlan> plan,
+                                    int contexts = 1, util::ExecContext exec = {}) {
+  return serve::EngineSession(std::move(plan), contexts, exec,
+                              make_backend(BackendKind::Scalar));
 }
 
-TEST(BackendIdentity, BlockedLinearMatchesScalarOverShapes) {
-  util::Rng rng(202);
-  for (const int filters : {1, 8, 13, 24, 33}) {
-    const int in_features = 50 + filters;
-    const IntegerLayer layer = random_integer_layer(filters, in_features, rng);
-    const blocked::PackedCodes packed = blocked::pack_codes(layer);
-    ASSERT_TRUE(packed.usable);
-    for (const int batch : {1, 3, 8}) {
-      const ActCodes acts = random_act_codes(
-          static_cast<std::size_t>(batch) * in_features, 4, rng);
-      const Tensor reference =
-          integer_linear_forward(layer, acts, batch, in_features);
-      for (const int threads : {1, 2, 8}) {
-        ThreadedExec te(threads);
-        std::vector<float> out(reference.numel());
-        blocked::linear_forward_into(packed, acts, batch, in_features, out.data(),
-                                     te.exec);
-        expect_bytes_equal(out.data(), reference.data(), reference.numel(),
-                           "linear filters=" + std::to_string(filters) +
-                               " batch=" + std::to_string(batch) +
-                               " threads=" + std::to_string(threads));
-      }
+/// Tiny MLP artifact with every filter at `weight_bits` and every
+/// activation grid at `act_bits` — bit-widths outside the zoo's 0-4-bit
+/// pattern, to reach the simd backend's delegation paths.
+deploy::QuantizedArtifact uniform_bits_mlp(int weight_bits, int act_bits) {
+  nn::MlpConfig cfg;
+  cfg.in_features = 12;
+  cfg.hidden = {20, 16};
+  cfg.num_classes = 5;
+  nn::Mlp model(cfg);
+  util::Rng rng(19);
+  model.calibrate_activations(Tensor::rand_uniform({32, 12}, rng, 0.0f, 1.0f));
+  model.set_activation_bits(act_bits);
+  for (const nn::ScoredLayerRef& ref : model.scored_layers()) {
+    for (quant::QuantizableLayer* layer : ref.layers) {
+      layer->set_filter_bits(std::vector<int>(
+          static_cast<std::size_t>(layer->num_filters()), weight_bits));
     }
   }
+  return deploy::export_model(model);
 }
 
 TEST(BackendIdentity, PrunedRowsAreHardZero) {
   util::Rng rng(303);
   IntegerLayer layer = random_integer_layer(9, 18, rng);
-  // Force every filter pruned: outputs must be exactly 0.0f (not
-  // bias), matching the fake-quant semantics of 0-bit filters.
+  // Force every filter pruned: the reference's outputs must be exactly
+  // 0.0f (not bias), matching the fake-quant semantics of 0-bit
+  // filters — the value SimdPrunedRowsAreHardZero holds simd to.
   std::fill(layer.filter_bits.begin(), layer.filter_bits.end(), std::uint8_t{0});
   std::fill(layer.codes.begin(), layer.codes.end(), 0);
-  const blocked::PackedCodes packed = blocked::pack_codes(layer);
   const ActCodes acts = random_act_codes(3 * 18, 4, rng);
-  std::vector<float> out(3 * 9, -1.0f);
-  blocked::linear_forward_into(packed, acts, 3, 18, out.data());
-  for (const float v : out) {
-    EXPECT_EQ(0.0f, v);
-    EXPECT_FALSE(std::signbit(v));  // hard +0.0f, byte-identical to std::fill(0.0f)
+  const Tensor out = integer_linear_forward(layer, acts, 3, 18);
+  ASSERT_EQ(out.numel(), 3u * 9u);
+  for (std::size_t i = 0; i < out.numel(); ++i) {
+    EXPECT_EQ(0.0f, out[i]);
+    EXPECT_FALSE(std::signbit(out[i]));  // hard +0.0f, byte-identical to std::fill(0.0f)
   }
 }
 
-TEST(BackendIdentity, HighBitLayersFallBackToScalar) {
-  util::Rng rng(404);
-  IntegerLayer layer = random_integer_layer(4, 10, rng);
-  layer.filter_bits[2] = 16;  // centered codes would overflow int16
-  const blocked::PackedCodes packed = blocked::pack_codes(layer);
-  EXPECT_FALSE(packed.usable);
-  const ActCodes acts = random_act_codes(10, 4, rng);
-  std::vector<float> out(4);
-  EXPECT_THROW(blocked::linear_forward_into(packed, acts, 1, 10, out.data()),
-               std::logic_error);
+/// Runs a uniform_bits_mlp plan on the simd backend: every integer op
+/// whose layer `delegated` selects must dispatch to "scalar" (at least
+/// one must), and the logits must match the scalar reference's bytes.
+template <typename Pred>
+void expect_delegates_to_scalar(int weight_bits, int act_bits, Pred delegated) {
+  const auto plan = std::make_shared<const ExecutionPlan>(
+      compile_plan(uniform_bits_mlp(weight_bits, act_bits)));
+  const auto backend = make_backend(BackendKind::Simd);
+  backend->prepare(*plan);
+  int delegated_ops = 0;
+  for (const PlanOp& op : plan->ops()) {
+    if (op.kind != OpKind::IntConv && op.kind != OpKind::IntLinear) continue;
+    if (!delegated(plan->integer_layers()[static_cast<std::size_t>(op.layer)], op)) {
+      continue;
+    }
+    ++delegated_ops;
+    EXPECT_STREQ("scalar", backend->dispatch(op));
+  }
+  EXPECT_GT(delegated_ops, 0);
+  serve::EngineSession scalar = scalar_session(plan);
+  serve::EngineSession simd_session(plan, 1, {}, make_backend(BackendKind::Simd));
+  const Tensor input = serve::random_batch(plan->sample_shape(), 3, 404);
+  const Tensor a = scalar.run(input);
+  const Tensor b = simd_session.run(input);
+  expect_bytes_equal(a.data(), b.data(), a.numel(),
+                     "weight_bits=" + std::to_string(weight_bits) +
+                         " act_bits=" + std::to_string(act_bits));
 }
 
-/// The acceptance gate: scalar and blocked sessions over the three zoo
-/// artifacts produce byte-identical logits at every batch size and
+/// Layers above 15 bits overflow the int16 panels, so the simd backend
+/// runs them on the scalar reference.
+TEST(BackendIdentity, HighBitLayersFallBackToScalar) {
+  expect_delegates_to_scalar(/*weight_bits=*/16, /*act_bits=*/4,
+                             [](const IntegerLayer& layer, const PlanOp&) {
+                               EXPECT_FALSE(simd::pack_simd(layer).usable);
+                               return true;
+                             });
+}
+
+/// A layer that packs (<= 15-bit weights) but whose reduction is not
+/// certified for the int32 accumulator — 12-bit weights against 16-bit
+/// activation codes — runs on the scalar reference's int64 path.
+TEST(BackendIdentity, UncertifiedReductionsDelegateToScalar) {
+  expect_delegates_to_scalar(
+      /*weight_bits=*/12, /*act_bits=*/16, [](const IntegerLayer& layer, const PlanOp& op) {
+        EXPECT_TRUE(simd::pack_simd(layer).usable);
+        return !int_reduction_fits_int32(max_abs_centered_code(layer), op.act_bits,
+                                         layer.weights_per_filter);
+      });
+}
+
+/// The acceptance gate at the tier this machine resolves: every
+/// registered backend over the three zoo artifacts produces logits
+/// byte-identical to the scalar reference at every batch size and
 /// thread count.
 TEST(BackendIdentity, ZooPlansByteIdenticalAcrossBackends) {
   const deploy::QuantizedArtifact artifacts[] = {serve::tiny_vgg_artifact(),
@@ -192,60 +198,23 @@ TEST(BackendIdentity, ZooPlansByteIdenticalAcrossBackends) {
         std::make_shared<const ExecutionPlan>(compile_plan(artifact));
     for (const int threads : {1, 2, 8}) {
       ThreadedExec te(threads);
-      serve::EngineSession scalar(plan, 2, te.exec,
-                                  make_backend(BackendKind::Scalar));
-      serve::EngineSession blocked_session(plan, 2, te.exec,
-                                           make_backend(BackendKind::Blocked));
-      for (const int batch : {1, 3, 8}) {
-        const Tensor input = serve::random_batch(
-            plan->sample_shape(), batch,
-            1000 + static_cast<std::uint64_t>(batch) * 7 + threads);
-        const Tensor a = scalar.run(input);
-        const Tensor b = blocked_session.run(input);
-        ASSERT_EQ(a.shape(), b.shape());
-        expect_bytes_equal(a.data(), b.data(), a.numel(),
-                           artifact.arch.kind + " batch=" + std::to_string(batch) +
-                               " threads=" + std::to_string(threads));
+      serve::EngineSession scalar = scalar_session(plan, 2, te.exec);
+      for (const BackendKind kind : all_backend_kinds()) {
+        serve::EngineSession session(plan, 2, te.exec, make_backend(kind));
+        for (const int batch : {1, 3, 8}) {
+          const Tensor input = serve::random_batch(
+              plan->sample_shape(), batch,
+              1000 + static_cast<std::uint64_t>(batch) * 7 + threads);
+          const Tensor a = scalar.run(input);
+          const Tensor b = session.run(input);
+          ASSERT_EQ(a.shape(), b.shape());
+          expect_bytes_equal(a.data(), b.data(), a.numel(),
+                             artifact.arch.kind + " backend=" + backend_kind_name(kind) +
+                                 " batch=" + std::to_string(batch) +
+                                 " threads=" + std::to_string(threads));
+        }
       }
     }
-  }
-}
-
-/// Backend::run's contract is concurrent safety: the prepare()-built
-/// packed panels are shared read-only state, and this is the test that
-/// actually reads them from many threads at once (the TSan CI lane
-/// would otherwise never see concurrent BlockedBackend execution).
-TEST(BackendIdentity, ConcurrentBlockedRunsMatchScalar) {
-  const deploy::QuantizedArtifact artifact = serve::tiny_resnet_artifact();
-  const auto plan = std::make_shared<const ExecutionPlan>(compile_plan(artifact));
-  serve::EngineSession scalar(plan, 1);
-  serve::EngineSession blocked_session(plan, 3, {},
-                                       make_backend(BackendKind::Blocked));
-  constexpr int kSubmitters = 6;
-  constexpr int kRounds = 4;
-  std::vector<Tensor> inputs, expected;
-  for (int i = 0; i < kSubmitters; ++i) {
-    inputs.push_back(serve::random_batch(plan->sample_shape(), 3,
-                                         500 + static_cast<std::uint64_t>(i)));
-    expected.push_back(scalar.run(inputs.back()));
-  }
-  std::vector<int> mismatches(kSubmitters, 0);
-  {
-    std::vector<std::jthread> threads;
-    for (int i = 0; i < kSubmitters; ++i) {
-      threads.emplace_back([&, i] {
-        for (int r = 0; r < kRounds; ++r) {
-          const Tensor out = blocked_session.run(inputs[static_cast<std::size_t>(i)]);
-          if (std::memcmp(out.data(), expected[static_cast<std::size_t>(i)].data(),
-                          out.numel() * sizeof(float)) != 0) {
-            ++mismatches[static_cast<std::size_t>(i)];
-          }
-        }
-      });
-    }
-  }
-  for (int i = 0; i < kSubmitters; ++i) {
-    EXPECT_EQ(0, mismatches[static_cast<std::size_t>(i)]) << "submitter " << i;
   }
 }
 
@@ -261,7 +230,6 @@ TEST(BackendFactory, NamesParseAndConstruct) {
   } catch (const std::invalid_argument& e) {
     // A typo'd --backend must name every valid option.
     EXPECT_NE(std::string(e.what()).find("scalar"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("blocked"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("simd"), std::string::npos);
   }
 }
@@ -279,30 +247,49 @@ TEST(BackendFactory, UnknownKindErrorNamesValidKinds) {
   }
 }
 
+/// The scalar reference labels every op "scalar"; the simd backend
+/// labels its integer ops with its own name and hands every other op to
+/// the reference (same label).
 TEST(BackendFactory, DispatchNamesPerOp) {
   const ExecutionPlan plan = compile_plan(serve::tiny_vgg_artifact());
   const auto scalar = make_backend(BackendKind::Scalar);
-  const auto blocked_backend = make_backend(BackendKind::Blocked);
+  const auto simd_backend = make_backend(BackendKind::Simd);
   scalar->prepare(plan);
-  blocked_backend->prepare(plan);
+  simd_backend->prepare(plan);
+  // Under CQ_SIMD=off the simd backend delegates integer ops too.
+  const bool explicit_simd = resolve_simd_tier() != SimdTier::kScalar;
   bool saw_integer = false, saw_other = false;
   for (const PlanOp& op : plan.ops()) {
     EXPECT_STREQ("scalar", scalar->dispatch(op));
+    const std::string label = simd_backend->dispatch(op);
     if (op.kind == OpKind::IntConv || op.kind == OpKind::IntLinear) {
       saw_integer = true;
-      EXPECT_STREQ("blocked", blocked_backend->dispatch(op));
+      if (explicit_simd) {
+        EXPECT_EQ(0u, label.rfind("simd/", 0)) << label;
+      } else {
+        EXPECT_EQ("scalar", label);
+      }
     } else {
       saw_other = true;
-      EXPECT_STREQ("scalar", blocked_backend->dispatch(op));
+      EXPECT_EQ("scalar", label);
     }
   }
   EXPECT_TRUE(saw_integer);
   EXPECT_TRUE(saw_other);
 }
 
+/// The defaults every entry point reads resolve to the simd backend: a
+/// session built without a backend and a default ServerConfig.
+TEST(BackendFactory, DefaultsResolveToSimd) {
+  EXPECT_EQ(BackendKind::Simd, kDefaultBackend);
+  const serve::EngineSession session(serve::tiny_mlp_artifact());
+  EXPECT_STREQ("simd", session.backend().name());
+  EXPECT_STREQ("simd", backend_kind_name(serve::ServerConfig{}.backend));
+}
+
 TEST(BackendFactory, RunWithoutPrepareThrows) {
   const ExecutionPlan plan = compile_plan(serve::tiny_mlp_artifact());
-  BlockedBackend backend;  // prepare() never called
+  SimdBackend backend;  // prepare() never called
   for (const PlanOp& op : plan.ops()) {
     if (op.kind != OpKind::IntLinear) continue;
     BackendIo io;
@@ -337,11 +324,15 @@ struct ForcedTier {
   ForcedTier& operator=(const ForcedTier&) = delete;
 };
 
-// Same shape grid as the blocked suite, swept additionally over every
-// reachable tier and over activation widths that land on different
-// kernels: 3-bit codes ride the int8 maddubs path on avx2 (the shared
-// bound proves it exact for these layers), 9-bit codes exceed the u8
-// eligibility and ride the int16 pair path.
+// Filter counts straddling the kFilterTile = 8 panel boundary (odd,
+// exact multiple, one past) so tail tiles and full tiles both run,
+// swept over every reachable tier, batch and thread count, and over
+// activation widths that land on different kernels: 3-bit codes ride
+// the int8 maddubs path on avx2 (the shared bound proves it exact for
+// these layers), 9-bit codes exceed the u8 eligibility and ride the
+// int16 pair path, and 16-bit codes fit neither narrowed layout, so
+// they run the generic portable kernels over the lane panels at both
+// tiers.
 TEST(BackendIdentity, SimdConvMatchesScalarAtEveryTier) {
   struct Shape {
     int in_c, hw, filters, kernel, stride, pad;
@@ -360,7 +351,7 @@ TEST(BackendIdentity, SimdConvMatchesScalarAtEveryTier) {
     const simd::PackedSimd packed = simd::pack_simd(layer);
     ASSERT_TRUE(packed.usable);
     ASSERT_TRUE(packed.int8_usable);  // pattern bits <= 4 -> |w| <= 15
-    for (const int act_bits : {3, 9}) {
+    for (const int act_bits : {3, 9, 16}) {
       for (const int batch : {1, 3, 8}) {
         const ActCodes acts = random_act_codes(
             static_cast<std::size_t>(batch) * s.in_c * s.hw * s.hw, act_bits, rng);
@@ -397,7 +388,8 @@ TEST(BackendIdentity, SimdLinearMatchesScalarAtEveryTier) {
     const IntegerLayer layer = random_integer_layer(filters, in_features, rng);
     const simd::PackedSimd packed = simd::pack_simd(layer);
     ASSERT_TRUE(packed.usable);
-    for (const int act_bits : {4, 10}) {  // u8-eligible / int16-pair path
+    // u8-eligible / int16-pair / generic portable (lane panels) path
+    for (const int act_bits : {4, 10, 16}) {
       for (const int batch : {1, 3, 8}) {
         const ActCodes acts = random_act_codes(
             static_cast<std::size_t>(batch) * in_features, act_bits, rng);
@@ -516,7 +508,7 @@ TEST(BackendIdentity, ZooPlansSimdByteIdenticalAtEveryTier) {
 TEST(BackendIdentity, ConcurrentSimdRunsMatchScalar) {
   const deploy::QuantizedArtifact artifact = serve::tiny_resnet_artifact();
   const auto plan = std::make_shared<const ExecutionPlan>(compile_plan(artifact));
-  serve::EngineSession scalar(plan, 1);
+  serve::EngineSession scalar = scalar_session(plan);
   serve::EngineSession simd_session(plan, 3, {}, make_backend(BackendKind::Simd));
   constexpr int kSubmitters = 6;
   constexpr int kRounds = 4;
@@ -575,8 +567,8 @@ TEST(BackendFactory, SimdDispatchNamesResolvedIsa) {
 
 /// CQ_SIMD=off / force_simd_tier(kScalar) retires the explicit kernels:
 /// the backend constructs at tier scalar, every integer op delegates to
-/// the blocked implementation (the dispatch label says so), and outputs
-/// stay byte-identical.
+/// the scalar reference (the dispatch label says so), and outputs stay
+/// byte-identical.
 TEST(BackendFactory, SimdForcedFallbackDelegates) {
   ForcedTier forced(SimdTier::kScalar);
   const auto plan = std::make_shared<const ExecutionPlan>(
@@ -584,13 +576,9 @@ TEST(BackendFactory, SimdForcedFallbackDelegates) {
   const auto backend = make_backend(BackendKind::Simd);
   backend->prepare(*plan);
   for (const PlanOp& op : plan->ops()) {
-    if (op.kind == OpKind::IntConv || op.kind == OpKind::IntLinear) {
-      EXPECT_STREQ("blocked", backend->dispatch(op));
-    } else {
-      EXPECT_STREQ("scalar", backend->dispatch(op));
-    }
+    EXPECT_STREQ("scalar", backend->dispatch(op));
   }
-  serve::EngineSession scalar(plan, 1);
+  serve::EngineSession scalar = scalar_session(plan);
   serve::EngineSession fallback(plan, 1, {}, make_backend(BackendKind::Simd));
   const Tensor input = serve::random_batch(plan->sample_shape(), 3, 42);
   const Tensor a = scalar.run(input);
@@ -639,15 +627,25 @@ TEST(CpuFeatures, JsonNamesArchAndTier) {
       << json;
 }
 
-TEST(BackendFactory, SimdPreparedBytesCoverBothLayouts) {
+/// prepared_bytes() is exactly the lane, pair and quad panels plus the
+/// per-filter rescale vectors, derived here from layer geometry alone.
+TEST(BackendFactory, SimdPreparedBytesAreExactlyThePanels) {
   const ExecutionPlan plan = compile_plan(serve::tiny_vgg_artifact());
-  const auto blocked_backend = make_backend(BackendKind::Blocked);
   const auto simd_backend = make_backend(BackendKind::Simd);
-  blocked_backend->prepare(plan);
   simd_backend->prepare(plan);
-  // The simd backend holds the blocked panels plus its own
-  // lane/pair/quad layouts, so it must report strictly more.
-  EXPECT_GT(simd_backend->prepared_bytes(), blocked_backend->prepared_bytes());
+  std::size_t expected = 0;
+  for (const IntegerLayer& layer : plan.integer_layers()) {
+    const auto filters = static_cast<std::size_t>(layer.num_filters);
+    const auto patch = static_cast<std::size_t>(layer.weights_per_filter);
+    const std::size_t tiles = (filters + simd::kFilterTile - 1) / simd::kFilterTile;
+    const std::size_t lanes = tiles * simd::kFilterTile;
+    ASSERT_LE(max_abs_centered_code(layer), 127);  // zoo bits <= 4: quads exist
+    expected += lanes * patch * sizeof(std::int16_t);                 // lane
+    expected += lanes * ((patch + 1) / 2) * 2 * sizeof(std::int16_t);  // pair
+    expected += lanes * ((patch + 3) / 4) * 4 * sizeof(std::int8_t);   // quad
+    expected += filters * 2 * sizeof(float);  // weight scales + bias
+  }
+  EXPECT_EQ(expected, simd_backend->prepared_bytes());
 }
 
 TEST(EngineSessionValidation, RejectsBadBatchesUpFront) {

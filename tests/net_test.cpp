@@ -333,7 +333,8 @@ TEST_F(FrontEndTest, RoundTripsByteIdenticalToEngineSession) {
   for (std::size_t m = 0; m < std::size(kZoo); ++m) {
     net::Client client("localhost", front_->port());
     const net::Client::ModelInfo info = client.info(kZoo[m].name);
-    serve::EngineSession session(artifacts_[m]);
+    serve::EngineSession session(artifacts_[m], 1, {},
+                                 deploy::make_backend(deploy::BackendKind::Scalar));
     ASSERT_EQ(info.sample_shape, session.sample_shape());
     ASSERT_EQ(info.num_classes, session.num_classes());
     EXPECT_EQ(info.version, 1);

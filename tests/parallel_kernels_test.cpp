@@ -347,7 +347,8 @@ TEST(ParallelKernelsEngine, SessionByteIdenticalWithIntraOpPool) {
   }
   const deploy::QuantizedArtifact artifact = deploy::export_model(model);
 
-  serve::EngineSession serial(artifact, 1);
+  serve::EngineSession serial(artifact, 1, {},
+                              deploy::make_backend(deploy::BackendKind::Scalar));
   const Tensor batch = Tensor::rand_uniform({3, 3, 8, 8}, rng, 0.0f, 1.0f);
   const Tensor expected = serial.run(batch);
 

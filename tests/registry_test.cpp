@@ -219,7 +219,8 @@ TEST(ModelRegistry, HotSwapUnderTrafficStaysByteIdentical) {
   registry.load("m", artifact, config);
 
   // Precompute reference logits for the sample pool.
-  serve::EngineSession reference(artifact);
+  serve::EngineSession reference(artifact, 1, {},
+                                 deploy::make_backend(deploy::BackendKind::Scalar));
   constexpr int kPool = 16;
   std::vector<tensor::Tensor> samples;
   std::vector<tensor::Tensor> expected;

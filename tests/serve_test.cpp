@@ -206,7 +206,8 @@ TEST(BatchScheduler, CloseRejectsPushesAndDrainsTheQueue) {
 TEST(Server, CoalescedOutputsAreByteIdenticalUnderConcurrentLoad) {
   const deploy::QuantizedArtifact artifact = tiny_vgg_artifact();
 
-  EngineSession reference(artifact, 1);
+  EngineSession reference(artifact, 1, {},
+                          deploy::make_backend(deploy::BackendKind::Scalar));
   constexpr int kThreads = 8;
   constexpr int kPerThread = 12;
   std::vector<std::vector<Tensor>> inputs(kThreads);
@@ -468,7 +469,8 @@ TEST(Server, SpanSinkSeesOrderedTimestampsForEveryRequest) {
 /// to the untraced engine (tracing is observation, not interference).
 TEST(Server, OpTraceProfilesServedBatchesWithoutChangingOutputs) {
   const deploy::QuantizedArtifact artifact = tiny_mlp_artifact();
-  EngineSession reference(artifact, 1);
+  EngineSession reference(artifact, 1, {},
+                          deploy::make_backend(deploy::BackendKind::Scalar));
   ServerConfig config;
   config.workers = 2;
   Server server(artifact, config);

@@ -9,7 +9,7 @@
 // (2) Property tests pinning the shared overflow-bound helper
 // (deploy/overflow.h): the bound is achievable (tight), safe over
 // random code/activation draws, saturates instead of wrapping, and is
-// byte-for-byte the number blocked::pack_codes dispatches on.
+// byte-for-byte the number simd::pack_simd dispatches on.
 //
 // Runs in the TSan and ASan/UBSan CI lanes: "zoo plans verify clean"
 // must hold under the sanitizers too.
@@ -333,14 +333,14 @@ IntegerLayer random_layer(int filters, std::int64_t per_filter, util::Rng& rng) 
   return layer;
 }
 
-TEST(OverflowBound, MatchesBlockedPackingExactly) {
+TEST(OverflowBound, MatchesSimdPackingExactly) {
   // The no-disagreement property the refactor exists for: the bound
-  // input the blocked backend dispatches on IS the shared helper's.
+  // input the simd backend dispatches on IS the shared helper's.
   util::Rng rng(2024);
   for (int trial = 0; trial < 20; ++trial) {
     const IntegerLayer layer =
         random_layer(3 + trial % 13, 5 + trial % 17, rng);
-    const blocked::PackedCodes packed = blocked::pack_codes(layer);
+    const simd::PackedSimd packed = simd::pack_simd(layer);
     ASSERT_TRUE(packed.usable);
     EXPECT_EQ(packed.max_abs_weight, max_abs_centered_code(layer));
   }

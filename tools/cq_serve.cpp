@@ -12,7 +12,7 @@
 //
 //   <name> <artifact.cqar> [key=value ...]   # per-model overrides
 //
-// with keys workers, intra_threads, backend (scalar|blocked|simd),
+// with keys workers, intra_threads, backend (scalar|simd),
 // max_batch, max_wait_us, queue_capacity, admit_depth, budget_mb,
 // opt (0|1); '#' starts a comment. Positional name=path arguments
 // load additional models with the flag-level defaults, and --zoo
@@ -24,16 +24,19 @@
 // admitted request on the version it started on, flush all replies,
 // then exit 0. --smoke runs an in-process self-test over localhost
 // (info + inference round trips, byte-identity against a fresh
-// EngineSession on the same artifact, byte-identity across a hot-swap
-// to the identical artifact) and then triggers exactly that SIGTERM
-// path; exit status reports the verdict.
+// scalar-reference EngineSession on the same artifact, byte-identity
+// across a hot-swap to the identical artifact) and then triggers
+// exactly that SIGTERM path; exit status reports the verdict.
 //
 // Usage: cq_serve [--manifest=FILE] [name=path...] [--zoo] [--port=N]
-//                 [--workers=N] [--intra_threads=N] [--backend=scalar|blocked|simd]
+//                 [--workers=N] [--intra_threads=N] [--backend=scalar|simd]
 //                 [--max_batch=N] [--max_wait_us=N] [--queue_capacity=N]
 //                 [--admit_depth=N] [--budget_mb=N] [--opt=0|1]
 //                 [--max_inflight=N] [--responders=N] [--max_connections=N]
 //                 [--all_interfaces] [--smoke]
+//
+// --backend defaults to deploy::kDefaultBackend (simd); CQ_SIMD=off
+// makes it run the scalar reference kernels.
 
 #include <unistd.h>
 
@@ -79,7 +82,8 @@ serve::ModelConfig config_from_flags(const util::Cli& cli) {
   serve::ModelConfig config;
   config.server.workers = static_cast<int>(cli.get_int("workers", 2));
   config.server.intra_threads = static_cast<int>(cli.get_int("intra_threads", 1));
-  config.server.backend = deploy::parse_backend_kind(cli.get("backend", "blocked"));
+  config.server.backend = deploy::parse_backend_kind(
+      cli.get("backend", deploy::backend_kind_name(deploy::kDefaultBackend)));
   config.server.max_batch = static_cast<int>(cli.get_int("max_batch", 16));
   config.server.max_wait_us = cli.get_int("max_wait_us", 200);
   config.server.queue_capacity =
@@ -215,9 +219,11 @@ bool run_smoke(std::uint16_t port, serve::ModelRegistry& registry,
         return false;
       }
 
-      // The remote answer must be byte-identical to running the same
-      // artifact in process (same compile + optimize pipeline).
-      serve::EngineSession session(model.artifact, 1, {}, nullptr,
+      // The remote answer must be byte-identical to the scalar
+      // reference running the same artifact in process (same compile +
+      // optimize pipeline), whatever backend the model serves on.
+      serve::EngineSession session(model.artifact, 1, {},
+                                   deploy::make_backend(deploy::BackendKind::Scalar),
                                    serve::PlanCheck::kNone, model.config.server.opt);
       tensor::Shape batch_shape;
       batch_shape.push_back(1);
@@ -299,7 +305,8 @@ int main(int argc, char** argv) {
   if (models.empty()) {
     std::fprintf(stderr,
                  "cq_serve: nothing to serve — pass --manifest=FILE, name=path or "
-                 "--zoo\n");
+                 "--zoo (kernel backend: --backend=scalar|simd, default %s)\n",
+                 deploy::backend_kind_name(deploy::kDefaultBackend));
     return 2;
   }
 

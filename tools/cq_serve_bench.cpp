@@ -23,7 +23,7 @@
 //   --threads=N       closed-loop submitter threads (default 8)
 //   --workers=N       server batch workers / engine contexts (default 4)
 //   --intra_threads=N threads one forward pass may occupy (default 1)
-//   --backend=NAME    kernel backend: scalar | blocked | simd (default scalar)
+//   --backend=NAME    kernel backend: scalar | simd (default simd)
 //   --max_batch=N     micro-batch flush size (default 16)
 //   --max_wait_us=N   micro-batch flush age in microseconds (default 200)
 //   --queue=N         bounded request queue depth (default 1024)
@@ -268,14 +268,15 @@ int main(int argc, char** argv) {
   if (argc < 2 || argv[1][0] == '-') {
     std::fprintf(stderr,
                  "usage: cq_serve_bench <model.cqar> [--requests=512] [--threads=8] "
-                 "[--workers=4] [--intra_threads=1] [--backend=scalar|blocked|simd] "
+                 "[--workers=4] [--intra_threads=1] [--backend=scalar|simd (default %s)] "
                  "[--max_batch=16] [--max_wait_us=200] [--queue=1024] [--warmup=64] "
                  "[--seed=1] [--json=PATH] [--profile] [--trace=PATH] [--metrics]\n"
                  "       cq_serve_bench --connect=host:port --model=NAME "
                  "[--requests=512] [--threads=8] [--duration_s=X] "
                  "[--busy_backoff_us=N] [--assert_admitted_min=N] "
                  "[--assert_shed_min=N] [--assert_p99_ms=X] "
-                 "[--assert_busy_p99_ms=X] [--json=PATH]\n");
+                 "[--assert_busy_p99_ms=X] [--json=PATH]\n",
+                 deploy::backend_kind_name(deploy::kDefaultBackend));
     return 2;
   }
   const std::string path = argv[1];
@@ -292,7 +293,8 @@ int main(int argc, char** argv) {
   config.workers = static_cast<int>(cli.get_int("workers", 4));
   config.intra_threads = static_cast<int>(cli.get_int("intra_threads", 1));
   try {
-    config.backend = deploy::parse_backend_kind(cli.get("backend", "scalar"));
+    config.backend = deploy::parse_backend_kind(
+        cli.get("backend", deploy::backend_kind_name(deploy::kDefaultBackend)));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cq_serve_bench: %s\n", e.what());
     return 2;

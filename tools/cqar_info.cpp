@@ -25,7 +25,7 @@
 //              per op, per op kind, per layer, plus the fraction of
 //              end-to-end time the profiler attributes to ops
 //   --backend  backend --plan's dispatch column reflects and --profile
-//              executes on: scalar | blocked | simd (default scalar)
+//              executes on: scalar | simd (default simd)
 //   --runs     profiled runs for --profile (default 16)
 //   --batch    samples per profiled run (default 8)
 //
@@ -87,8 +87,9 @@ int main(int argc, char** argv) {
   if (argc < 2 || argv[1][0] == '-') {
     std::fprintf(stderr,
                  "usage: cqar_info <model.cqar> [--verify] [--plan] [--profile] "
-                 "[--optimize=0|1] [--backend=scalar|blocked|simd] [--runs=16] "
-                 "[--batch=8]\n");
+                 "[--optimize=0|1] [--backend=scalar|simd (default %s)] [--runs=16] "
+                 "[--batch=8]\n",
+                 deploy::backend_kind_name(deploy::kDefaultBackend));
     return 2;
   }
   const std::string path = argv[1];
@@ -148,7 +149,8 @@ int main(int argc, char** argv) {
 
   deploy::BackendKind backend_kind;
   try {
-    backend_kind = deploy::parse_backend_kind(cli.get("backend", "scalar"));
+    backend_kind = deploy::parse_backend_kind(
+        cli.get("backend", deploy::backend_kind_name(deploy::kDefaultBackend)));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cqar_info: %s\n", e.what());
     return 2;  // usage error, not a corrupted artifact

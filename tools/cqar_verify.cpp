@@ -3,8 +3,8 @@
 // Compiles each artifact's deployment ExecutionPlan and proves the IR
 // invariant catalog over it (deploy/verify.h): dataflow
 // well-formedness, shape consistency, arena lifetime safety at every
-// batch size, and the integer-path overflow certification the blocked
-// backend's int32 fast path rests on. Any finding is printed as a
+// batch size, and the integer-path overflow certification the simd
+// backend's int32 kernels rest on. Any finding is printed as a
 // diagnostic table and turns the exit status nonzero, so CI can gate
 // the model zoo on "plans verify clean" the same way it gates tests.
 //
@@ -14,7 +14,8 @@
 //               the plan/backend test suites pin byte-identity against)
 //   --certs     print the per-integer-op overflow certificates (bound,
 //               narrowest certified accumulator: int8 = the SIMD
-//               backend's maddubs path, int32 = the blocked fast path)
+//               backend's maddubs path, int32 = its other explicit kernels,
+//               int64 = delegated to the scalar reference)
 //   --optimize  additionally run the deploy::optimize_plan pass
 //               pipeline over each plan and verify the optimized plan
 //               too (shown as "<name> +opt") — the shape serving
@@ -69,7 +70,8 @@ bool verify_one(const std::string& name, const deploy::ExecutionPlan& plan,
     util::Table certs({"op", "layer", "max|w|", "terms", "bound", "acc"});
     for (const deploy::IntOpCertificate& cert : report.certificates) {
       // Narrowest certified accumulator: int8 is the SIMD backend's
-      // maddubs path (implies int32), int32 the blocked fast path.
+      // maddubs path (implies int32), int32 its other explicit kernels,
+      // int64 the scalar reference it delegates to.
       const char* acc = cert.int8_fast_path    ? "int8"
                         : cert.int32_fast_path ? "int32"
                                                : "int64";

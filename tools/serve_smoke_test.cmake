@@ -2,7 +2,8 @@
 # exported smoke artifact (same model under two names, one with a
 # tight admission threshold), launches cq_serve on an ephemeral port
 # with --smoke — which round-trips every model over localhost, byte
-# compares the remote logits against a fresh in-process EngineSession,
+# compares the remote logits against a fresh in-process EngineSession
+# on the scalar reference backend,
 # hot-swaps each model to the identical artifact mid-traffic, then
 # drains through the SIGTERM path — and requires a zero exit.
 #
