@@ -32,17 +32,14 @@ int required_contexts(int contexts) {
   return contexts;
 }
 
-/// Compile, then (at kO1) run the optimizer pass pipeline. Every pass
-/// is byte-exact and re-verified, so the session's outputs are
-/// independent of the opt level.
+}  // namespace
+
 deploy::ExecutionPlan compile_session_plan(const deploy::QuantizedArtifact& artifact,
                                            PlanOpt opt) {
   deploy::ExecutionPlan plan = deploy::compile_plan(artifact);
   if (opt == PlanOpt::kO1) deploy::optimize_plan(plan);
   return plan;
 }
-
-}  // namespace
 
 EngineSession::EngineSession(const deploy::QuantizedArtifact& artifact, int contexts,
                              util::ExecContext exec,

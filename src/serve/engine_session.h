@@ -35,6 +35,15 @@ enum class PlanCheck { kNone, kStrict };
 /// never optimize — a handed-over plan's shape belongs to the caller.
 enum class PlanOpt { kO0, kO1 };
 
+/// The serving stack's one compile-then-optimize step:
+/// deploy::compile_plan, then at PlanOpt::kO1 the deploy::optimize_plan
+/// pass pipeline. Every pass is byte-exact and re-verified, so outputs
+/// are independent of `opt`. The artifact constructors of EngineSession
+/// and serve::Server, and serve::ModelRegistry, all build their plans
+/// through it. Throws deploy::ArtifactError on malformed artifacts.
+deploy::ExecutionPlan compile_session_plan(const deploy::QuantizedArtifact& artifact,
+                                           PlanOpt opt);
+
 /// Inference session interpreting a compiled deploy::ExecutionPlan.
 ///
 /// An EngineSession is the servable unit of the deployment story. The
@@ -66,7 +75,9 @@ enum class PlanOpt { kO0, kO1 };
 /// every kernel the interpreter drives (encode, integer conv/linear,
 /// float GEMM/im2col), parallelizing *within* one forward. Kernels
 /// chunk only over independent outputs, so results stay byte-identical
-/// to serial execution at any thread count.
+/// to serial execution at any thread count. It is for embedded callers
+/// running one large forward at a time; serve::Server passes a serial
+/// context and scales with workers instead.
 class EngineSession {
  public:
   /// Compiles the artifact internally — and, at the default PlanOpt::kO1,

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "deploy/passes/passes.h"
 #include "deploy/verify.h"
 #include "util/logging.h"
 
@@ -69,10 +68,8 @@ std::shared_ptr<ModelRegistry::Version> ModelRegistry::current_version(
 std::shared_ptr<ModelRegistry::Version> ModelRegistry::build_version(
     const std::string& name, const deploy::QuantizedArtifact& artifact,
     const ModelConfig& config, int number) const {
-  auto plan = std::make_shared<deploy::ExecutionPlan>(deploy::compile_plan(artifact));
-  if (config.server.opt == PlanOpt::kO1) {
-    deploy::optimize_plan(*plan);
-  }
+  const auto plan = std::make_shared<const deploy::ExecutionPlan>(
+      compile_session_plan(artifact, config.server.opt));
   // The registry is the IR boundary for plans it builds itself: verify
   // before serving, exactly like a strict session would, but with the
   // registry naming the model in the refusal.

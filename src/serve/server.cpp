@@ -19,48 +19,20 @@ BatchSchedulerConfig scheduler_config(const ServerConfig& config) {
 
 ServerConfig normalized(ServerConfig config) {
   config.workers = std::max(1, config.workers);
-  config.intra_threads = std::max(1, config.intra_threads);
   return config;
 }
 
 }  // namespace
 
 Server::Server(const deploy::QuantizedArtifact& artifact, ServerConfig config)
-    : config_(normalized(config)),
-      intra_pool_(config_.intra_threads > 1
-                      ? std::make_unique<util::ThreadPool>(config_.intra_threads - 1)
-                      : nullptr),
-      session_(artifact, config_.workers,
-               util::ExecContext{intra_pool_.get(), config_.intra_threads},
-               deploy::make_backend(config_.backend), PlanCheck::kNone, config_.opt),
-      scheduler_(scheduler_config(config_)),
-      pool_(config_.workers),
-      submitted_(metrics_.counter("requests_submitted", "requests accepted by submit()")),
-      failed_(metrics_.counter("requests_failed",
-                               "requests answered with an exception")),
-      shed_(metrics_.counter("requests_shed",
-                             "requests refused by try_submit (queue at capacity)")),
-      latency_us_(metrics_.histogram("latency_us",
-                                     "submit to promise fulfillment, microseconds")),
-      queue_wait_us_(metrics_.histogram(
-          "queue_wait_us", "submit to leaving the scheduler queue, microseconds")),
-      execute_us_(metrics_.histogram("execute_us",
-                                     "EngineSession::run wall time per batch, "
-                                     "microseconds")),
-      batch_size_(metrics_.histogram("batch_size", "coalesced micro-batch sizes")),
-      queue_depth_(metrics_.gauge("queue_depth", "requests waiting in the scheduler")),
-      started_(std::chrono::steady_clock::now()) {
-  start_workers();
-}
+    : Server(std::make_shared<const deploy::ExecutionPlan>(
+                 compile_session_plan(artifact, config.opt)),
+             config) {}
 
 Server::Server(std::shared_ptr<const deploy::ExecutionPlan> plan, ServerConfig config)
     : config_(normalized(config)),
-      intra_pool_(config_.intra_threads > 1
-                      ? std::make_unique<util::ThreadPool>(config_.intra_threads - 1)
-                      : nullptr),
-      session_(std::move(plan), config_.workers,
-               util::ExecContext{intra_pool_.get(), config_.intra_threads},
-               deploy::make_backend(config_.backend), PlanCheck::kNone),
+      session_(std::move(plan), config_.workers, {}, deploy::make_backend(config_.backend),
+               PlanCheck::kNone),
       scheduler_(scheduler_config(config_)),
       pool_(config_.workers),
       submitted_(metrics_.counter("requests_submitted", "requests accepted by submit()")),
@@ -78,10 +50,6 @@ Server::Server(std::shared_ptr<const deploy::ExecutionPlan> plan, ServerConfig c
       batch_size_(metrics_.histogram("batch_size", "coalesced micro-batch sizes")),
       queue_depth_(metrics_.gauge("queue_depth", "requests waiting in the scheduler")),
       started_(std::chrono::steady_clock::now()) {
-  start_workers();
-}
-
-void Server::start_workers() {
   metrics_.gauge("backend_prepared_bytes",
                  "bytes of backend-owned packed state built by prepare()")
       .set(static_cast<double>(session_.backend().prepared_bytes()));

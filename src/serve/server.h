@@ -20,14 +20,11 @@
 namespace cq::serve {
 
 struct ServerConfig {
-  int workers = 1;              ///< batch workers (= engine contexts); < 1 becomes 1
-  /// Threads one forward pass may occupy (intra-op parallelism); < 2
-  /// keeps the kernels serial. The server owns one shared intra-op
-  /// pool of (intra_threads - 1) helpers, so total CPU demand is about
-  /// workers + intra_threads - 1; size workers * intra_threads toward
-  /// the core count (inter-op scales with concurrent load, intra-op
-  /// cuts single-request latency).
-  int intra_threads = 1;
+  /// Batch workers (= engine contexts); < 1 becomes 1. Serving scales
+  /// by workers only: each runs its forward passes serially, which
+  /// measured faster than splitting one forward across threads at every
+  /// zoo model size.
+  int workers = 1;
   /// Kernel backend the engine dispatches every plan op through
   /// (deploy::make_backend): the scalar reference or the explicit-SIMD
   /// integer backend. Both are byte-identical, so this only trades
@@ -101,6 +98,9 @@ struct ServerStats {
 /// are inert until opted into.
 class Server {
  public:
+  /// Compiles the artifact through serve::compile_session_plan at
+  /// ServerConfig::opt, then serves it as the shared-plan constructor
+  /// does.
   explicit Server(const deploy::QuantizedArtifact& artifact, ServerConfig config = {});
 
   /// Serves a pre-compiled (and pre-optimized, if the caller ran the
@@ -177,14 +177,9 @@ class Server {
   const ServerConfig& config() const { return config_; }
 
  private:
-  void start_workers();
   void worker_loop(int worker);
 
   ServerConfig config_;
-  /// Shared intra-op helper pool (workers participate in their own
-  /// parallel_for, so it holds intra_threads - 1 helpers); declared
-  /// before session_ so it outlives every kernel that chunks over it.
-  std::unique_ptr<util::ThreadPool> intra_pool_;
   EngineSession session_;
   BatchScheduler scheduler_;
   util::ThreadPool pool_;

@@ -13,10 +13,11 @@ namespace cq::util {
 /// thread pool (if any) a single forward may parallelize over, and how
 /// many threads it may occupy.
 ///
-/// This is the single seam between the serving configuration and the
-/// numeric kernels. serve::Server owns one intra-op pool shared by its
-/// workers and hands each EngineSession an ExecContext; the session
-/// passes it down through deploy:: into tensor::ops. A
+/// This is the single seam between a caller and the numeric kernels:
+/// an embedded serve::EngineSession caller (or a training loop) owns
+/// the pool and hands the session an ExecContext; the session passes
+/// it down through deploy:: into tensor::ops. serve::Server always
+/// passes a serial context and scales with workers instead. A
 /// default-constructed context (no pool) means strictly serial
 /// execution, so every pre-existing call site keeps its exact old
 /// behaviour without changes.

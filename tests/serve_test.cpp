@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <future>
 #include <mutex>
 #include <string>
@@ -10,6 +11,8 @@
 #include <vector>
 
 #include "deploy/artifact.h"
+#include "deploy/passes/passes.h"
+#include "deploy/plan.h"
 #include "obs/profiler.h"
 #include "serve/batch_scheduler.h"
 #include "serve/engine_session.h"
@@ -264,6 +267,50 @@ TEST(Server, CoalescedOutputsAreByteIdenticalUnderConcurrentLoad) {
   EXPECT_GT(stats.p50_us, 0.0);
   EXPECT_GE(stats.p99_us, stats.p50_us);
   EXPECT_GT(stats.throughput_rps, 0.0);
+}
+
+/// Server(artifact, config) compiles through compile_session_plan at
+/// ServerConfig::opt and then serves like the shared-plan constructor:
+/// kO0 serves the plan as compiled, kO1 the optimize_plan rewrite, and
+/// both answer byte for byte like the unoptimized scalar reference.
+TEST(Server, ArtifactConstructorServesThePlanAtItsOptLevel) {
+  const deploy::QuantizedArtifact artifact = tiny_resnet_artifact();
+  const std::size_t compiled_ops = deploy::compile_plan(artifact).ops().size();
+  deploy::ExecutionPlan optimized = deploy::compile_plan(artifact);
+  deploy::optimize_plan(optimized);
+  const std::size_t optimized_ops = optimized.ops().size();
+  ASSERT_LT(optimized_ops, compiled_ops);  // the two levels are told apart
+
+  EngineSession reference(artifact, 1, {},
+                          deploy::make_backend(deploy::BackendKind::Scalar),
+                          PlanCheck::kNone, PlanOpt::kO0);
+  const tensor::Shape& sample_shape = reference.sample_shape();
+  const std::size_t sample_numel = tensor::shape_numel(sample_shape);
+  constexpr int kSamples = 3;
+  const Tensor batch = random_batch(sample_shape, kSamples, 77);
+  const Tensor want = reference.run(batch);
+  const std::size_t classes = static_cast<std::size_t>(reference.num_classes());
+
+  for (const PlanOpt opt : {PlanOpt::kO0, PlanOpt::kO1}) {
+    SCOPED_TRACE(opt == PlanOpt::kO0 ? "kO0" : "kO1");
+    ServerConfig config;
+    config.workers = 2;
+    config.opt = opt;
+    Server server(artifact, config);
+    EXPECT_EQ(server.session().plan().ops().size(),
+              opt == PlanOpt::kO0 ? compiled_ops : optimized_ops);
+    for (int i = 0; i < kSamples; ++i) {
+      Tensor sample(sample_shape);
+      std::memcpy(sample.data(), batch.data() + static_cast<std::size_t>(i) * sample_numel,
+                  sample_numel * sizeof(float));
+      const Tensor out = server.submit(std::move(sample)).get();
+      ASSERT_EQ(out.numel(), classes);
+      EXPECT_EQ(std::memcmp(out.data(), want.data() + static_cast<std::size_t>(i) * classes,
+                            classes * sizeof(float)),
+                0)
+          << "sample " << i;
+    }
+  }
 }
 
 TEST(Server, ShapeMismatchFailsOnlyThatRequest) {

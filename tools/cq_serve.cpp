@@ -12,9 +12,12 @@
 //
 //   <name> <artifact.cqar> [key=value ...]   # per-model overrides
 //
-// with keys workers, intra_threads, backend (scalar|simd),
-// max_batch, max_wait_us, queue_capacity, admit_depth, budget_mb,
-// opt (0|1); '#' starts a comment. Positional name=path arguments
+// with keys workers, backend (scalar|simd), max_batch, max_wait_us,
+// queue_capacity, admit_depth, budget_mb, opt (0|1); '#' starts a
+// comment. Integer values must be plain non-negative decimals: a
+// negative, non-numeric or trailing-junk value in a flag or an override
+// is refused with an error naming the key (and the manifest line), and
+// the daemon exits 2. Positional name=path arguments
 // load additional models with the flag-level defaults, and --zoo
 // fabricates the three default-size zoo models (vgg_small, mlp,
 // resnet20) in process — no artifact files needed, handy for load
@@ -29,23 +32,29 @@
 // exactly that SIGTERM path; exit status reports the verdict.
 //
 // Usage: cq_serve [--manifest=FILE] [name=path...] [--zoo] [--port=N]
-//                 [--workers=N] [--intra_threads=N] [--backend=scalar|simd]
+//                 [--workers=N] [--backend=scalar|simd]
 //                 [--max_batch=N] [--max_wait_us=N] [--queue_capacity=N]
 //                 [--admit_depth=N] [--budget_mb=N] [--opt=0|1]
 //                 [--max_inflight=N] [--responders=N] [--max_connections=N]
 //                 [--all_interfaces] [--smoke]
 //
-// --backend defaults to deploy::kDefaultBackend (simd); CQ_SIMD=off
-// makes it run the scalar reference kernels.
+// Serving scales by --workers only: each worker runs its batches'
+// forward passes serially, which measured faster than splitting a
+// forward across threads at every zoo model size. --backend defaults to
+// deploy::kDefaultBackend (simd); CQ_SIMD=off makes it run the scalar
+// reference kernels.
 
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -78,49 +87,80 @@ struct LoadedModel {
   serve::ModelConfig config;
 };
 
-serve::ModelConfig config_from_flags(const util::Cli& cli) {
-  serve::ModelConfig config;
-  config.server.workers = static_cast<int>(cli.get_int("workers", 2));
-  config.server.intra_threads = static_cast<int>(cli.get_int("intra_threads", 1));
-  config.server.backend = deploy::parse_backend_kind(
-      cli.get("backend", deploy::backend_kind_name(deploy::kDefaultBackend)));
-  config.server.max_batch = static_cast<int>(cli.get_int("max_batch", 16));
-  config.server.max_wait_us = cli.get_int("max_wait_us", 200);
-  config.server.queue_capacity =
-      static_cast<std::size_t>(cli.get_int("queue_capacity", 256));
-  config.server.opt = cli.get_int("opt", 1) == 0 ? serve::PlanOpt::kO0 : serve::PlanOpt::kO1;
-  config.admit_queue_depth = static_cast<std::size_t>(cli.get_int("admit_depth", 0));
-  config.memory_budget_bytes =
-      static_cast<std::size_t>(cli.get_int("budget_mb", 0)) << 20;
-  return config;
+/// Parses a plain non-negative decimal in [0, max]. strtol alone would
+/// read "two" as 0 and "8x" as 8, and a cast to std::size_t would turn
+/// "-1" into an effectively unbounded queue or budget.
+long parse_count(const std::string& key, const std::string& value, long max) {
+  long n = -1;
+  const char* const last = value.data() + value.size();
+  const auto [end, error] = std::from_chars(value.data(), last, n);
+  if (error != std::errc() || end != last || n < 0 || n > max) {
+    throw std::runtime_error("invalid " + key + "=" + value +
+                             ": expected an integer in [0, " + std::to_string(max) +
+                             "]");
+  }
+  return n;
 }
 
-/// Applies one "key=value" manifest token onto a model's config.
+constexpr long kIntMax = std::numeric_limits<int>::max();
+constexpr long kLongMax = std::numeric_limits<long>::max();
+
+/// Applies one model-level key=value (a manifest override or the flag of
+/// the same name) onto a model's config. Returns false on an unknown
+/// key; throws naming the key on a bad value.
 bool apply_override(serve::ModelConfig& config, const std::string& key,
                     const std::string& value) {
-  const long n = std::strtol(value.c_str(), nullptr, 10);
   if (key == "workers") {
-    config.server.workers = static_cast<int>(n);
-  } else if (key == "intra_threads") {
-    config.server.intra_threads = static_cast<int>(n);
+    config.server.workers = static_cast<int>(parse_count(key, value, kIntMax));
   } else if (key == "backend") {
     config.server.backend = deploy::parse_backend_kind(value);
   } else if (key == "max_batch") {
-    config.server.max_batch = static_cast<int>(n);
+    config.server.max_batch = static_cast<int>(parse_count(key, value, kIntMax));
   } else if (key == "max_wait_us") {
-    config.server.max_wait_us = n;
+    config.server.max_wait_us = parse_count(key, value, kLongMax);
   } else if (key == "queue_capacity") {
-    config.server.queue_capacity = static_cast<std::size_t>(n);
+    config.server.queue_capacity =
+        static_cast<std::size_t>(parse_count(key, value, kLongMax));
   } else if (key == "admit_depth") {
-    config.admit_queue_depth = static_cast<std::size_t>(n);
+    config.admit_queue_depth = static_cast<std::size_t>(parse_count(key, value, kLongMax));
   } else if (key == "budget_mb") {
-    config.memory_budget_bytes = static_cast<std::size_t>(n) << 20;
+    // Bounded so the shift to bytes cannot wrap.
+    config.memory_budget_bytes =
+        static_cast<std::size_t>(parse_count(key, value, kLongMax >> 20)) << 20;
   } else if (key == "opt") {
-    config.server.opt = n == 0 ? serve::PlanOpt::kO0 : serve::PlanOpt::kO1;
+    config.server.opt = parse_count(key, value, 1) == 0 ? serve::PlanOpt::kO0
+                                                         : serve::PlanOpt::kO1;
   } else {
     return false;
   }
   return true;
+}
+
+/// The daemon-wide model defaults: two workers and a 256-deep queue,
+/// then every model-level flag given, parsed exactly as the manifest
+/// override of the same name.
+serve::ModelConfig config_from_flags(const util::Cli& cli) {
+  serve::ModelConfig config;
+  config.server.workers = 2;
+  config.server.queue_capacity = 256;
+  for (const char* key : {"workers", "backend", "max_batch", "max_wait_us",
+                          "queue_capacity", "admit_depth", "budget_mb", "opt"}) {
+    if (cli.has(key)) apply_override(config, key, cli.get(key, ""));
+  }
+  return config;
+}
+
+net::FrontEndConfig net_config_from_flags(const util::Cli& cli) {
+  net::FrontEndConfig config;
+  const auto flag = [&cli](const char* key, long fallback, long max) {
+    return cli.has(key) ? parse_count(key, cli.get(key, ""), max) : fallback;
+  };
+  config.port = static_cast<std::uint16_t>(flag("port", 7411, 65535));
+  config.loopback_only = !cli.get_bool("all_interfaces", false);
+  config.max_connections = static_cast<int>(flag("max_connections", 64, kIntMax));
+  config.max_inflight = static_cast<std::size_t>(flag("max_inflight", 1024, kLongMax));
+  config.responders = static_cast<int>(flag("responders", 2, kIntMax));
+  return config;
 }
 
 /// Parses "name path [key=value ...]" manifest lines; '#' comments.
@@ -146,14 +186,18 @@ std::vector<LoadedModel> parse_manifest(const std::string& path,
     LoadedModel model;
     model.name = name;
     model.config = defaults;
+    const std::string where = "cq_serve: manifest line " + std::to_string(lineno) + ": ";
     std::string token;
     while (tokens >> token) {
       const auto eq = token.find('=');
-      if (eq == std::string::npos ||
-          !apply_override(model.config, token.substr(0, eq), token.substr(eq + 1))) {
-        throw std::runtime_error("cq_serve: manifest line " + std::to_string(lineno) +
-                                 ": unknown override '" + token + "'");
+      bool known = false;
+      try {
+        known = eq != std::string::npos &&
+                apply_override(model.config, token.substr(0, eq), token.substr(eq + 1));
+      } catch (const std::exception& error) {
+        throw std::runtime_error(where + error.what());
       }
+      if (!known) throw std::runtime_error(where + "unknown override '" + token + "'");
     }
     model.artifact = deploy::load_artifact(artifact_path);
     models.push_back(std::move(model));
@@ -273,7 +317,15 @@ bool run_smoke(std::uint16_t port, serve::ModelRegistry& registry,
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  const serve::ModelConfig defaults = config_from_flags(cli);
+  serve::ModelConfig defaults;
+  net::FrontEndConfig net_config;
+  try {
+    defaults = config_from_flags(cli);
+    net_config = net_config_from_flags(cli);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "cq_serve: %s\n", error.what());
+    return 2;
+  }
 
   std::vector<LoadedModel> models;
   try {
@@ -323,13 +375,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", error.what());
     return 1;
   }
-
-  net::FrontEndConfig net_config;
-  net_config.port = static_cast<std::uint16_t>(cli.get_int("port", 7411));
-  net_config.loopback_only = !cli.get_bool("all_interfaces", false);
-  net_config.max_connections = static_cast<int>(cli.get_int("max_connections", 64));
-  net_config.max_inflight = static_cast<std::size_t>(cli.get_int("max_inflight", 1024));
-  net_config.responders = static_cast<int>(cli.get_int("responders", 2));
 
   if (::pipe(g_signal_pipe) != 0) {
     std::fprintf(stderr, "cq_serve: pipe: %s\n", std::strerror(errno));

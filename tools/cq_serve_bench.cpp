@@ -21,17 +21,17 @@
 //        cq_serve_bench --connect=host:port --model=NAME [options]
 //   --requests=N      total requests across all submitters (default 512)
 //   --threads=N       closed-loop submitter threads (default 8)
-//   --workers=N       server batch workers / engine contexts (default 4)
-//   --intra_threads=N threads one forward pass may occupy (default 1)
+//   --workers=N       server batch workers / engine contexts (default 4);
+//                     serving scales by workers, each running serially
 //   --backend=NAME    kernel backend: scalar | simd (default simd)
 //   --max_batch=N     micro-batch flush size (default 16)
 //   --max_wait_us=N   micro-batch flush age in microseconds (default 200)
 //   --queue=N         bounded request queue depth (default 1024)
 //   --warmup=N        untimed warmup requests (default 64)
 //   --seed=N          input generator seed (default 1)
-//   --json=PATH       machine-readable result, same schema as
-//                     bench/serve_throughput --json (one sweep row), so
-//                     trajectory tooling ingests both
+//   --json=PATH       machine-readable result: one "sweep" row for
+//                     the configuration measured; run once per
+//                     --workers=N to sweep worker counts
 //   --profile         attach obs::PlanProfiler to the engine: prints the
 //                     per-op-kind breakdown and embeds the full per-op
 //                     report in --json output
@@ -268,7 +268,7 @@ int main(int argc, char** argv) {
   if (argc < 2 || argv[1][0] == '-') {
     std::fprintf(stderr,
                  "usage: cq_serve_bench <model.cqar> [--requests=512] [--threads=8] "
-                 "[--workers=4] [--intra_threads=1] [--backend=scalar|simd (default %s)] "
+                 "[--workers=4] [--backend=scalar|simd (default %s)] "
                  "[--max_batch=16] [--max_wait_us=200] [--queue=1024] [--warmup=64] "
                  "[--seed=1] [--json=PATH] [--profile] [--trace=PATH] [--metrics]\n"
                  "       cq_serve_bench --connect=host:port --model=NAME "
@@ -291,7 +291,6 @@ int main(int argc, char** argv) {
 
   serve::ServerConfig config;
   config.workers = static_cast<int>(cli.get_int("workers", 4));
-  config.intra_threads = static_cast<int>(cli.get_int("intra_threads", 1));
   try {
     config.backend = deploy::parse_backend_kind(
         cli.get("backend", deploy::backend_kind_name(deploy::kDefaultBackend)));
@@ -323,10 +322,9 @@ int main(int argc, char** argv) {
                 tensor::shape_to_string(sample_shape).c_str(),
                 server.session().num_classes(),
                 server.session().integer_layer_count());
-    std::printf("workers %d, intra %d, backend %s, max_batch %d, max_wait %ld us, "
+    std::printf("workers %d, backend %s, max_batch %d, max_wait %ld us, "
                 "queue %zu, %ld closed-loop submitters, %ld requests, %u hw threads\n",
-                config.workers, config.intra_threads,
-                server.session().backend().name(), config.max_batch,
+                config.workers, server.session().backend().name(), config.max_batch,
                 config.max_wait_us, config.queue_capacity, threads, requests,
                 std::thread::hardware_concurrency());
 
@@ -431,8 +429,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "cq_serve_bench: cannot write %s\n", json_path.c_str());
         return 1;
       }
-      // Same shape as bench/serve_throughput --json: one sweep row for
-      // the single configuration this run measured.
+      // One sweep row for the single configuration this run measured.
       std::fprintf(f,
                    "{\n  \"hardware_threads\": %u,\n  \"requests\": %ld,\n"
                    "  \"submitters\": %ld,\n  \"backend\": \"%s\",\n"
@@ -441,15 +438,15 @@ int main(int argc, char** argv) {
                    deploy::backend_kind_name(config.backend), stats.completed,
                    stats.shed);
       std::fprintf(f,
-                   "    {\"workers\": %d, \"intra_threads\": %d, \"rps\": %.1f, "
+                   "    {\"workers\": %d, \"rps\": %.1f, "
                    "\"p50_us\": %.0f, \"p95_us\": %.0f, \"p99_us\": %.0f, "
                    "\"mean_batch\": %.2f, \"p50_queue_us\": %.0f, "
                    "\"p95_queue_us\": %.0f, \"p50_exec_us\": %.0f, "
                    "\"p95_exec_us\": %.0f}\n",
-                   config.workers, config.intra_threads,
-                   static_cast<double>(stats.completed) / elapsed, stats.p50_us,
-                   stats.p95_us, stats.p99_us, stats.mean_batch, stats.p50_queue_us,
-                   stats.p95_queue_us, stats.p50_exec_us, stats.p95_exec_us);
+                   config.workers, static_cast<double>(stats.completed) / elapsed,
+                   stats.p50_us, stats.p95_us, stats.p99_us, stats.mean_batch,
+                   stats.p50_queue_us, stats.p95_queue_us, stats.p50_exec_us,
+                   stats.p95_exec_us);
       std::fprintf(f, "  ]");
       if (profiler != nullptr) {
         std::fprintf(f, ",\n  \"profile\": %s", report.to_json().c_str());
