@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the numerical kernels that
 // dominate the experiment runtimes: GEMM, im2col, the uniform
-// quantizer, the integer wrap GEMM, and whole-layer forward/backward.
+// quantizer, the activation encode and fused epilogue, the integer wrap
+// GEMM, and whole-layer forward/backward.
 
 #include <benchmark/benchmark.h>
 
@@ -79,6 +80,57 @@ void BM_QuantizeSpan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (1LL << 16));
 }
 BENCHMARK(BM_QuantizeSpan)->Arg(1)->Arg(4)->Arg(8);
+
+// The activation encode and the fused conv epilogue at a ResNet20
+// shape: one 4-channel 16x16 output over a batch of 8.
+constexpr int kEpBatch = 8, kEpChannels = 4, kEpSide = 16;
+constexpr int kEpNumel = kEpBatch * kEpChannels * kEpSide * kEpSide;
+
+void BM_EncodeActivations(benchmark::State& state) {
+  util::Rng rng(5);
+  const tensor::Tensor src = tensor::Tensor::rand_uniform({kEpNumel}, rng, -0.2f, 1.2f);
+  deploy::ActCodes codes;
+  for (auto _ : state) {
+    deploy::encode_activations_into(src.data(), src.numel(), 1.0f, 3, codes);
+    benchmark::DoNotOptimize(codes.codes.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kEpNumel);
+}
+BENCHMARK(BM_EncodeActivations);
+
+// BN + ReLU (arg 0) and BN + ReLU + grid encode (arg 1), in place. The
+// buffer holds codes after the first pass; the loop is branch-free, so
+// its time does not depend on the values.
+void BM_EpilogueEncode(benchmark::State& state) {
+  util::Rng rng(6);
+  deploy::PlanOp op;
+  op.out_c = kEpChannels;
+  op.out_h = kEpSide;
+  op.out_w = kEpSide;
+  op.ep_bn = true;
+  op.ep_relu = true;
+  op.ep_encode = state.range(0) != 0;
+  op.out_hi = 1.0f;
+  op.out_bits = 3;
+  for (int c = 0; c < kEpChannels; ++c) {
+    op.bn_mean.push_back(static_cast<float>(rng.uniform(-0.1, 0.1)));
+    op.bn_inv_std.push_back(static_cast<float>(rng.uniform(0.8, 1.2)));
+    op.bn_gamma.push_back(static_cast<float>(rng.uniform(0.8, 1.2)));
+    op.bn_beta.push_back(static_cast<float>(rng.uniform(-0.1, 0.1)));
+  }
+  tensor::Tensor out = tensor::Tensor::rand_uniform({kEpNumel}, rng, -0.5f, 1.5f);
+  deploy::BackendIo io;
+  io.out = out.data();
+  io.batch = kEpBatch;
+  for (auto _ : state) {
+    deploy::apply_epilogue(op, io, kEpNumel / kEpBatch, {});
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kEpNumel);
+}
+BENCHMARK(BM_EpilogueEncode)->Arg(0)->Arg(1);
 
 void BM_IntegerGemmWrap(benchmark::State& state) {
   const int n = 64;

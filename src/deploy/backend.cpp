@@ -1,7 +1,5 @@
 #include "deploy/backend.h"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "quant/uniform.h"
@@ -18,15 +16,18 @@ namespace {
 /// the stage set fixed at compile time so every combination compiles
 /// to a branch-free inner loop (a distinct functor type per
 /// combination keeps the call inlinable). Expressions are the
-/// standalone Add / Relu / EncodeAct ops', verbatim.
+/// standalone Add / Relu ops' verbatim; the encode is
+/// encode_activations_into's (quant::clip_to_grid, then
+/// quant::round_to_grid), which already yields the integral float code
+/// the consumer casts, so no int32 round-trip is needed and the loop
+/// vectorizes.
 template <bool kAdd, bool kRelu, bool kEncode>
 struct EpilogueTail {
   float operator()(float v, float residual, float enc_hi, float to_code) const {
     if constexpr (kAdd) v = v + residual;
     if constexpr (kRelu) v = v > 0.0f ? v : 0.0f;
     if constexpr (kEncode) {
-      const float clipped = std::clamp(v, 0.0f, enc_hi);
-      v = static_cast<float>(static_cast<std::int32_t>(std::round(clipped * to_code)));
+      v = quant::round_to_grid(quant::clip_to_grid(v, enc_hi) * to_code);
     }
     return v;
   }

@@ -1,7 +1,6 @@
 #include "deploy/int_engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "deploy/bitstream.h"
@@ -83,8 +82,8 @@ void encode_activations_into(const float* activations, std::size_t count, float 
   exec.parallel_for(0, static_cast<std::int64_t>(count),
                     [=](std::int64_t lo, std::int64_t hi_i) {
     for (std::int64_t i = lo; i < hi_i; ++i) {
-      const float clipped = std::clamp(src[i], 0.0f, hi);
-      dst[i] = static_cast<std::int32_t>(std::round(clipped * to_code));
+      dst[i] = static_cast<std::int32_t>(
+          quant::round_to_grid(quant::clip_to_grid(src[i], hi) * to_code));
     }
   });
 }

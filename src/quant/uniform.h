@@ -14,6 +14,35 @@ struct UniformRange {
   bool valid() const { return hi > lo; }
 };
 
+/// std::round for the grid's non-negative domain, without the libm
+/// call: `v` must be >= 0 or NaN (every caller rounds a clipped,
+/// positively scaled value). Below 2^23, adding and subtracting 2^23
+/// rounds v to the nearest integer with ties to even, and an exact tie
+/// that went down is moved up: std::round's ties-away rule. From 2^23
+/// on every float is already integral, so the offset is 0 and v passes
+/// through (+inf too); NaN stays NaN. The result equals std::round bit
+/// for bit on every non-negative float except -0, which becomes +0.
+/// Every operation runs unconditionally and only constants are
+/// selected, so loops over it vectorize (GCC will not if-convert a
+/// branch around float arithmetic under the default -ftrapping-math).
+/// It relies on IEEE round-to-nearest with no reassociation or
+/// contraction: never build it with -ffast-math.
+inline float round_to_grid(float v) {
+  const float offset = v < 0x1p23f ? 0x1p23f : 0.0f;
+  float r = (v + offset) - offset;
+  r += v - r == 0.5f ? 1.0f : 0.0f;
+  return r;
+}
+
+/// Clips an activation to the grid range [0, hi] (hi > 0) ahead of
+/// round_to_grid, defining the non-finite cases: NaN, -inf and -0 map
+/// to +0 (code 0) and +inf to hi (the top code). Every other value
+/// clips exactly as std::clamp(v, 0.0f, hi).
+inline float clip_to_grid(float v, float hi) {
+  const float above = v > 0.0f ? v : 0.0f;
+  return above < hi ? above : hi;
+}
+
 /// Number of representable levels for `bits` (2^bits); bits <= 0 -> 1
 /// level, i.e. everything quantizes to the lower clip bound (pruned
 /// weights map to 0 via a symmetric range).

@@ -1,6 +1,8 @@
 #include "util/cli.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace cq::util {
 
@@ -30,6 +32,11 @@ long Cli::get_int(const std::string& key, long fallback) const {
   return it == values_.end() ? fallback : std::strtol(it->second.c_str(), nullptr, 10);
 }
 
+long Cli::get_count(const std::string& key, long fallback, long max) const {
+  const auto it = values_.find(key);
+  return it == values_.end() ? fallback : parse_count(key, it->second, max);
+}
+
 double Cli::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
@@ -39,6 +46,18 @@ bool Cli::get_bool(const std::string& key, bool fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+long parse_count(const std::string& key, const std::string& value, long max) {
+  long n = -1;
+  const char* const last = value.data() + value.size();
+  const auto [end, error] = std::from_chars(value.data(), last, n);
+  if (error != std::errc() || end != last || n < 0 || n > max) {
+    throw std::runtime_error("invalid " + key + "=" + value +
+                             ": expected an integer in [0, " + std::to_string(max) +
+                             "]");
+  }
+  return n;
 }
 
 }  // namespace cq::util

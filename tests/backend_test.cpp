@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -215,6 +217,85 @@ TEST(BackendIdentity, ZooPlansByteIdenticalAcrossBackends) {
         }
       }
     }
+  }
+}
+
+// --- Grid encode ------------------------------------------------------
+
+/// Tie-heavy encoder inputs for a 3-bit grid over [0, 7], whose step is
+/// exactly 1: every quarter from -1 to 8 (so every half-integer tie)
+/// and the float on either side of each.
+std::vector<float> tie_heavy_inputs() {
+  std::vector<float> values;
+  for (float x = -1.0f; x <= 8.0f; x += 0.25f) {
+    values.push_back(std::nextafter(x, -1e9f));
+    values.push_back(x);
+    values.push_back(std::nextafter(x, 1e9f));
+  }
+  return values;
+}
+
+/// The encode as written with std::round, the oracle for the shared
+/// libm-free implementation (finite inputs only).
+std::int32_t std_round_code(float x, float hi, int bits) {
+  const float to_code = static_cast<float>(quant::levels_for_bits(bits) - 1) / hi;
+  return static_cast<std::int32_t>(std::round(std::clamp(x, 0.0f, hi) * to_code));
+}
+
+TEST(GridEncode, EncodeActivationsMatchesStdRoundOnTies) {
+  const std::vector<float> inputs = tie_heavy_inputs();
+  for (const float hi : {7.0f, 3.5f, 1.3f}) {
+    ActCodes codes;
+    encode_activations_into(inputs.data(), inputs.size(), hi, 3, codes);
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      ASSERT_EQ(codes.codes[i], std_round_code(inputs[i], hi, 3))
+          << "x=" << inputs[i] << " hi=" << hi;
+    }
+  }
+}
+
+/// The fused ep_encode epilogue writes the same codes, as floats.
+TEST(GridEncode, EpilogueEncodeMatchesStdRoundOnTies) {
+  const std::vector<float> inputs = tie_heavy_inputs();
+  for (const bool relu : {false, true}) {
+    PlanOp op;
+    op.ep_relu = relu;
+    op.ep_encode = true;
+    op.out_hi = 7.0f;
+    op.out_bits = 3;
+    std::vector<float> out = inputs;
+    BackendIo io;
+    io.out = out.data();
+    apply_epilogue(op, io, out.size(), {});
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      ASSERT_EQ(out[i], static_cast<float>(std_round_code(inputs[i], 7.0f, 3)))
+          << "x=" << inputs[i] << " relu=" << relu;
+    }
+  }
+}
+
+/// The non-finite contract of both encoders: NaN, -inf and -0 encode to
+/// code 0 and +inf to the top code.
+TEST(GridEncode, NonFiniteActivationsEncodeToGridEnds) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const std::vector<float> inputs = {std::numeric_limits<float>::quiet_NaN(), -kInf,
+                                     -0.0f, kInf};
+  const std::vector<std::int32_t> expected = {0, 0, 0, 7};
+  ActCodes codes;
+  encode_activations_into(inputs.data(), inputs.size(), 1.5f, 3, codes);
+  EXPECT_EQ(codes.codes, expected);
+
+  PlanOp op;
+  op.ep_encode = true;
+  op.out_hi = 1.5f;
+  op.out_bits = 3;
+  std::vector<float> out = inputs;
+  BackendIo io;
+  io.out = out.data();
+  apply_epilogue(op, io, out.size(), {});
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const float code = static_cast<float>(expected[i]);
+    EXPECT_EQ(std::memcmp(&out[i], &code, sizeof code), 0) << "i=" << i;
   }
 }
 
@@ -496,6 +577,45 @@ TEST(BackendIdentity, ZooPlansSimdByteIdenticalAtEveryTier) {
                                  simd_tier_name(tier) +
                                  " batch=" + std::to_string(batch) +
                                  " threads=" + std::to_string(threads));
+        }
+      }
+    }
+  }
+}
+
+/// NaN and +-inf inputs to every zoo model, on the as-compiled plan
+/// (standalone EncodeAct ops) and the optimized one (fused ep_encode):
+/// the logits are finite, and every backend, at every reachable simd
+/// tier, returns them byte-identical to the scalar reference. Runs in
+/// the ASan/UBSan lane.
+TEST(BackendIdentity, NonFiniteZooInputsByteIdenticalAcrossBackends) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float poison[] = {std::numeric_limits<float>::quiet_NaN(), kInf, -kInf};
+  const deploy::QuantizedArtifact artifacts[] = {serve::tiny_vgg_artifact(),
+                                                 serve::tiny_mlp_artifact(),
+                                                 serve::tiny_resnet_artifact()};
+  for (const deploy::QuantizedArtifact& artifact : artifacts) {
+    for (const serve::PlanOpt opt : {serve::PlanOpt::kO0, serve::PlanOpt::kO1}) {
+      const auto plan = std::make_shared<const ExecutionPlan>(
+          serve::compile_session_plan(artifact, opt));
+      Tensor input = serve::random_batch(plan->sample_shape(), 3, 77);
+      for (std::size_t i = 0; i < input.numel(); i += 5) input[i] = poison[i % 3];
+      const Tensor reference = scalar_session(plan).run(input);
+      // Every grid encode maps the poison to a grid end, so none of it
+      // reaches the logits.
+      for (std::size_t i = 0; i < reference.numel(); ++i) {
+        ASSERT_TRUE(std::isfinite(reference[i])) << artifact.arch.kind << " logit " << i;
+      }
+      for (const SimdTier tier : reachable_simd_tiers()) {
+        ForcedTier forced(tier);
+        for (const BackendKind kind : all_backend_kinds()) {
+          serve::EngineSession session(plan, 1, {}, make_backend(kind));
+          const Tensor logits = session.run(input);
+          ASSERT_EQ(reference.shape(), logits.shape());
+          expect_bytes_equal(reference.data(), logits.data(), reference.numel(),
+                             artifact.arch.kind + " backend=" + backend_kind_name(kind) +
+                                 " tier=" + simd_tier_name(tier) +
+                                 " opt=" + std::to_string(static_cast<int>(opt)));
         }
       }
     }

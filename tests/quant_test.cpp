@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include "quant/bitwidth.h"
 #include "quant/integer_gemm.h"
@@ -117,6 +121,78 @@ TEST(Uniform, EncodeMatchesQuantize) {
   for (float x = 0.0f; x <= 4.0f; x += 0.37f) {
     const float via_codes = decode(encode(x, r, 3), r, 3);
     EXPECT_NEAR(via_codes, quantize_one(x, r, 3), 1e-5f);
+  }
+}
+
+std::uint32_t float_bits(float v) {
+  std::uint32_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+float bits_float(std::uint32_t bits) {
+  float v = 0.0f;
+  std::memcpy(&v, &bits, sizeof v);
+  return v;
+}
+
+/// round_to_grid against std::round, compared as bit patterns: every
+/// float within 16 ulps of each integer and half-integer in [0, 65536]
+/// (the codes of a <= 16-bit grid and the ties between them), a strided
+/// sweep over every non-negative finite float, and the special values.
+TEST(Uniform, RoundToGridMatchesStdRound) {
+  std::uint64_t checked = 0;
+  const auto expect_matches = [&checked](float v) {
+    ++checked;
+    ASSERT_EQ(float_bits(round_to_grid(v)), float_bits(std::round(v)))
+        << "v=" << v << " (bits 0x" << std::hex << float_bits(v) << ")";
+  };
+  for (int k = 0; k <= 65536; ++k) {
+    for (const float center : {static_cast<float>(k), static_cast<float>(k) + 0.5f}) {
+      const std::uint32_t c = float_bits(center);
+      // +0 has no smaller non-negative neighbour; start the walk there.
+      const std::uint32_t lo = c < 16 ? 0 : c - 16;
+      for (std::uint32_t b = lo; b <= c + 16; ++b) expect_matches(bits_float(b));
+    }
+  }
+  const std::uint32_t inf_bits = float_bits(std::numeric_limits<float>::infinity());
+  for (std::uint32_t b = 0; b < inf_bits; b += 4099) expect_matches(bits_float(b));
+  expect_matches(bits_float(inf_bits - 1));  // largest finite float
+  EXPECT_GT(checked, 4'000'000u);
+
+  EXPECT_EQ(float_bits(round_to_grid(0.0f)), float_bits(0.0f));
+  // -0 rounds to +0 (std::round keeps the sign); every caller then
+  // either casts to an integer code or adds +0, so the sign never shows.
+  EXPECT_EQ(float_bits(round_to_grid(-0.0f)), float_bits(0.0f));
+  EXPECT_EQ(round_to_grid(std::numeric_limits<float>::infinity()),
+            std::numeric_limits<float>::infinity());
+  EXPECT_TRUE(std::isnan(round_to_grid(std::numeric_limits<float>::quiet_NaN())));
+}
+
+TEST(Uniform, ClipToGridDefinesNonFiniteInputs) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(float_bits(clip_to_grid(std::numeric_limits<float>::quiet_NaN(), 2.0f)),
+            float_bits(0.0f));
+  EXPECT_EQ(float_bits(clip_to_grid(-kInf, 2.0f)), float_bits(0.0f));
+  EXPECT_EQ(float_bits(clip_to_grid(-0.0f, 2.0f)), float_bits(0.0f));
+  EXPECT_EQ(clip_to_grid(kInf, 2.0f), 2.0f);
+  for (const float v : {-3.0f, 0.0f, 1e-30f, 0.75f, 2.0f, 2.5f}) {
+    EXPECT_EQ(float_bits(clip_to_grid(v, 2.0f)), float_bits(std::clamp(v, 0.0f, 2.0f)))
+        << "v=" << v;
+  }
+}
+
+/// decode(encode(x)) == quantize_one(x) bit for bit, also on the exact
+/// ties of the grid (a 3-bit [0, 7] range has a step of exactly 1).
+TEST(Uniform, EncodeDecodeEqualsQuantizeOneOnTies) {
+  for (const UniformRange r : {UniformRange{0.0f, 7.0f}, UniformRange{-7.0f, 7.0f}}) {
+    for (float x = r.lo - 1.0f; x <= r.hi + 1.0f; x += 0.25f) {
+      for (const float v : {std::nextafter(x, -1e9f), x, std::nextafter(x, 1e9f)}) {
+        EXPECT_EQ(float_bits(decode(encode(v, r, 3), r, 3)),
+                  float_bits(quantize_one(v, r, 3)))
+            << "x=" << v << " lo=" << r.lo;
+      }
+    }
   }
 }
 

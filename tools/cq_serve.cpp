@@ -47,7 +47,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -87,21 +86,6 @@ struct LoadedModel {
   serve::ModelConfig config;
 };
 
-/// Parses a plain non-negative decimal in [0, max]. strtol alone would
-/// read "two" as 0 and "8x" as 8, and a cast to std::size_t would turn
-/// "-1" into an effectively unbounded queue or budget.
-long parse_count(const std::string& key, const std::string& value, long max) {
-  long n = -1;
-  const char* const last = value.data() + value.size();
-  const auto [end, error] = std::from_chars(value.data(), last, n);
-  if (error != std::errc() || end != last || n < 0 || n > max) {
-    throw std::runtime_error("invalid " + key + "=" + value +
-                             ": expected an integer in [0, " + std::to_string(max) +
-                             "]");
-  }
-  return n;
-}
-
 constexpr long kIntMax = std::numeric_limits<int>::max();
 constexpr long kLongMax = std::numeric_limits<long>::max();
 
@@ -111,25 +95,26 @@ constexpr long kLongMax = std::numeric_limits<long>::max();
 bool apply_override(serve::ModelConfig& config, const std::string& key,
                     const std::string& value) {
   if (key == "workers") {
-    config.server.workers = static_cast<int>(parse_count(key, value, kIntMax));
+    config.server.workers = static_cast<int>(util::parse_count(key, value, kIntMax));
   } else if (key == "backend") {
     config.server.backend = deploy::parse_backend_kind(value);
   } else if (key == "max_batch") {
-    config.server.max_batch = static_cast<int>(parse_count(key, value, kIntMax));
+    config.server.max_batch = static_cast<int>(util::parse_count(key, value, kIntMax));
   } else if (key == "max_wait_us") {
-    config.server.max_wait_us = parse_count(key, value, kLongMax);
+    config.server.max_wait_us = util::parse_count(key, value, kLongMax);
   } else if (key == "queue_capacity") {
     config.server.queue_capacity =
-        static_cast<std::size_t>(parse_count(key, value, kLongMax));
+        static_cast<std::size_t>(util::parse_count(key, value, kLongMax));
   } else if (key == "admit_depth") {
-    config.admit_queue_depth = static_cast<std::size_t>(parse_count(key, value, kLongMax));
+    config.admit_queue_depth =
+        static_cast<std::size_t>(util::parse_count(key, value, kLongMax));
   } else if (key == "budget_mb") {
     // Bounded so the shift to bytes cannot wrap.
     config.memory_budget_bytes =
-        static_cast<std::size_t>(parse_count(key, value, kLongMax >> 20)) << 20;
+        static_cast<std::size_t>(util::parse_count(key, value, kLongMax >> 20)) << 20;
   } else if (key == "opt") {
-    config.server.opt = parse_count(key, value, 1) == 0 ? serve::PlanOpt::kO0
-                                                         : serve::PlanOpt::kO1;
+    config.server.opt = util::parse_count(key, value, 1) == 0 ? serve::PlanOpt::kO0
+                                                               : serve::PlanOpt::kO1;
   } else {
     return false;
   }
@@ -152,14 +137,13 @@ serve::ModelConfig config_from_flags(const util::Cli& cli) {
 
 net::FrontEndConfig net_config_from_flags(const util::Cli& cli) {
   net::FrontEndConfig config;
-  const auto flag = [&cli](const char* key, long fallback, long max) {
-    return cli.has(key) ? parse_count(key, cli.get(key, ""), max) : fallback;
-  };
-  config.port = static_cast<std::uint16_t>(flag("port", 7411, 65535));
+  config.port = static_cast<std::uint16_t>(cli.get_count("port", 7411, 65535));
   config.loopback_only = !cli.get_bool("all_interfaces", false);
-  config.max_connections = static_cast<int>(flag("max_connections", 64, kIntMax));
-  config.max_inflight = static_cast<std::size_t>(flag("max_inflight", 1024, kLongMax));
-  config.responders = static_cast<int>(flag("responders", 2, kIntMax));
+  config.max_connections =
+      static_cast<int>(cli.get_count("max_connections", 64, kIntMax));
+  config.max_inflight =
+      static_cast<std::size_t>(cli.get_count("max_inflight", 1024, kLongMax));
+  config.responders = static_cast<int>(cli.get_count("responders", 2, kIntMax));
   return config;
 }
 

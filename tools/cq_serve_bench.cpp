@@ -50,12 +50,17 @@
 //   --assert_p99_ms=X         fail unless admitted client p99 <= X ms
 //   --assert_busy_p99_ms=X    fail unless BUSY round-trip p99 <= X ms
 //   --json gains "admitted"/"shed" fields in both modes.
+//
+// Integer flags (and the port of --connect) must be plain non-negative
+// decimals in range, parsed by util::parse_count as cq_serve parses
+// its own: "--workers=two" or "--connect=localhost:70000" exits 2
+// naming the flag instead of running with a different value.
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -75,6 +80,9 @@ namespace {
 
 using namespace cq;
 
+constexpr long kIntMax = std::numeric_limits<int>::max();
+constexpr long kLongMax = std::numeric_limits<long>::max();
+
 /// --connect mode: closed-loop load against a cq_serve daemon, one
 /// net::Client per submitter, explicit admitted/shed accounting and
 /// client-side latency histograms. Returns the process exit status.
@@ -86,22 +94,33 @@ int run_remote(const util::Cli& cli) {
     return 2;
   }
   const std::string host = connect.substr(0, colon);
-  const auto port = static_cast<std::uint16_t>(
-      std::strtol(connect.c_str() + colon + 1, nullptr, 10));
   const std::string model = cli.get("model", "");
   if (model.empty()) {
     std::fprintf(stderr, "cq_serve_bench: --connect requires --model=NAME\n");
     return 2;
   }
-  const long requests = cli.get_int("requests", 512);
-  const long threads = cli.get_int("threads", 8);
-  const long warmup = cli.get_int("warmup", 32);
+  std::uint16_t port = 0;
+  long requests = 0, threads = 0, warmup = 0, busy_backoff_us = 0;
+  long admitted_min = 0, shed_min = 0;
+  std::uint64_t seed = 0;
+  try {
+    port = static_cast<std::uint16_t>(
+        util::parse_count("connect port", connect.substr(colon + 1), 65535));
+    requests = cli.get_count("requests", 512, kLongMax);
+    threads = cli.get_count("threads", 8, kLongMax);
+    warmup = cli.get_count("warmup", 32, kLongMax);
+    busy_backoff_us = cli.get_count("busy_backoff_us", 0, kLongMax);
+    admitted_min = cli.get_count("assert_admitted_min", 0, kLongMax);
+    shed_min = cli.get_count("assert_shed_min", 0, kLongMax);
+    seed = static_cast<std::uint64_t>(cli.get_count("seed", 1, kLongMax));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "cq_serve_bench: %s\n", e.what());
+    return 2;
+  }
   const double duration_s = cli.get_double("duration_s", 0.0);
-  const long busy_backoff_us = cli.get_int("busy_backoff_us", 0);
-  const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   const std::string json_path = cli.get("json", "");
-  if (requests < 1 || threads < 1 || warmup < 0) {
-    std::fprintf(stderr, "cq_serve_bench: requests/threads must be >= 1, warmup >= 0\n");
+  if (requests < 1 || threads < 1) {
+    std::fprintf(stderr, "cq_serve_bench: requests/threads must be >= 1\n");
     return 2;
   }
 
@@ -226,13 +245,11 @@ int run_remote(const util::Cli& cli) {
       std::fprintf(stderr, "cq_serve_bench: %ld submitter(s) errored\n", failed.load());
       ok_gates = false;
     }
-    const long admitted_min = cli.get_int("assert_admitted_min", 0);
     if (admitted.load() < admitted_min) {
       std::fprintf(stderr, "cq_serve_bench: FAIL admitted %ld < %ld\n",
                    admitted.load(), admitted_min);
       ok_gates = false;
     }
-    const long shed_min = cli.get_int("assert_shed_min", 0);
     if (shed.load() < shed_min) {
       std::fprintf(stderr, "cq_serve_bench: FAIL shed %ld < %ld\n", shed.load(),
                    shed_min);
@@ -281,26 +298,29 @@ int main(int argc, char** argv) {
   }
   const std::string path = argv[1];
   const util::Cli cli(argc, argv);
-  const long requests = cli.get_int("requests", 512);
-  const long threads = cli.get_int("threads", 8);
-  const long warmup = cli.get_int("warmup", 64);
-  if (requests < 1 || threads < 1 || warmup < 0) {
-    std::fprintf(stderr, "cq_serve_bench: requests/threads must be >= 1, warmup >= 0\n");
-    return 2;
-  }
-
+  long requests = 0, threads = 0, warmup = 0;
+  std::uint64_t seed = 0;
   serve::ServerConfig config;
-  config.workers = static_cast<int>(cli.get_int("workers", 4));
   try {
+    requests = cli.get_count("requests", 512, kLongMax);
+    threads = cli.get_count("threads", 8, kLongMax);
+    warmup = cli.get_count("warmup", 64, kLongMax);
+    seed = static_cast<std::uint64_t>(cli.get_count("seed", 1, kLongMax));
+    config.workers = static_cast<int>(cli.get_count("workers", 4, kIntMax));
     config.backend = deploy::parse_backend_kind(
         cli.get("backend", deploy::backend_kind_name(deploy::kDefaultBackend)));
+    config.max_batch = static_cast<int>(cli.get_count("max_batch", 16, kIntMax));
+    config.max_wait_us = cli.get_count("max_wait_us", 200, kLongMax);
+    config.queue_capacity =
+        static_cast<std::size_t>(cli.get_count("queue", 1024, kLongMax));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cq_serve_bench: %s\n", e.what());
     return 2;
   }
-  config.max_batch = static_cast<int>(cli.get_int("max_batch", 16));
-  config.max_wait_us = cli.get_int("max_wait_us", 200);
-  config.queue_capacity = static_cast<std::size_t>(cli.get_int("queue", 1024));
+  if (requests < 1 || threads < 1) {
+    std::fprintf(stderr, "cq_serve_bench: requests/threads must be >= 1\n");
+    return 2;
+  }
   const std::string json_path = cli.get("json", "");
   const std::string trace_path = cli.get("trace", "");
   const bool profile = cli.get_bool("profile", false);
@@ -329,7 +349,6 @@ int main(int argc, char** argv) {
                 std::thread::hardware_concurrency());
 
     // Deterministic per-thread request streams.
-    const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
     const auto make_sample = [&sample_shape](util::Rng& rng) {
       return tensor::Tensor::rand_uniform(sample_shape, rng, 0.0f, 1.0f);
     };
