@@ -1,36 +1,40 @@
-// Intra-op kernel scaling harness: times the threaded integer/float
-// kernels at a list of thread counts — for each backend in
-// --backends — verifies every timed run is byte-identical to the
-// scalar serial reference, and emits machine-readable JSON for the CI
-// perf lane.
+// Kernel and session scaling harness. Kernel cases time the integer
+// and float kernels serially — for each backend in --backends — and
+// verify every simd run is byte-identical to the scalar reference. The
+// session case runs default-size VggSmall at batch 8 (PlanOpt::kO1)
+// through an EngineSession at each --threads count, byte-checked
+// against its serial run: the session splits the batch into one chunk
+// per thread, the only place the engine uses threads. Emits
+// machine-readable JSON for the CI perf lane.
 //
-// This is the repository's only *measured* perf check: the dev
-// container is single-core, so the perf-smoke CI job runs this binary
-// on a multi-core runner and asserts the speedups it observes, e.g.
+// The perf-smoke CI job runs this binary on a multi-core runner and
+// asserts the speedups it observes, e.g.
 //
-//   kernel_scaling --json=kernel_scaling.json --assert-case=integer_conv_large
+//   kernel_scaling --backends=simd --json=kernel_scaling.json
+//                  --assert-case=session_vgg_small_b8@simd
 //                  --assert-threads=4 --assert-speedup=1.5
 //
-// --assert-speedup gates thread scaling of the named scalar case.
+// --assert-speedup gates thread scaling of the named session case.
 // --assert-simd-speedup / --assert-simd-portable-speedup gate the simd
 // backend's win over the scalar kernels on the same case at
 // --assert-threads (requires both backends in the sweep): the binary
 // applies the first on runners whose resolved SIMD tier is avx2 and
 // the second elsewhere, so one CI command line gates every runner at
 // the bar its ISA can meet. Exit codes: 0 ok, 1 assertion failed, 2
-// output mismatch vs the scalar reference.
+// output mismatch vs the reference.
 //
-// Other knobs: --threads=1,2,4 (thread counts), --repeat=N (timed runs
-// per point; best-of is reported to shed scheduler noise),
-// --backends=scalar,simd (kernel backends to sweep; simd cases are
-// named <case>@simd and always verified byte-identical against scalar
-// before timing). The JSON
-// carries a "cpu" object (CPUID features + the resolved SIMD tier) so
-// perf artifacts say what machine produced them.
+// Other knobs: --threads=1,2,4 (session thread counts), --repeat=N
+// (timed runs per point; best-of is reported to shed scheduler noise),
+// --backends=scalar,simd (backends to sweep; simd cases are named
+// <case>@simd and always verified byte-identical against scalar
+// before timing). The JSON carries a "cpu" object (CPUID features +
+// the resolved SIMD tier) so perf artifacts say what machine produced
+// them.
 
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -38,6 +42,9 @@
 
 #include "deploy/backend.h"
 #include "deploy/int_engine.h"
+#include "nn/models/vgg_small.h"
+#include "serve/engine_session.h"
+#include "serve_fixtures.h"
 #include "tensor/ops.h"
 #include "util/cli.h"
 #include "util/exec_context.h"
@@ -50,19 +57,47 @@ namespace {
 
 using namespace cq;
 
-/// One timed kernel under test: run() executes the kernel under the
-/// given context and returns the output bytes for the byte-identity
-/// check. `ref` (when set) produces the reference those bytes must
-/// equal — simd cases point it at the scalar kernel, so every simd
-/// measurement doubles as a cross-backend identity check;
-/// scalar cases default to their own serial run.
+/// One timed case: run(threads) executes it and returns the output
+/// bytes for the byte-identity check. Kernel cases are serial and
+/// ignore `threads`; the session case (`threaded`) is swept over
+/// --threads. `ref` (when set) produces the reference those bytes
+/// must equal — simd cases point it at the scalar run, so every simd
+/// measurement doubles as a cross-backend identity check; scalar
+/// cases default to their own serial run.
 struct Case {
   std::string name;
   std::string desc;
   std::string backend = "scalar";
-  long long work_macs = 0;
-  std::function<std::vector<float>(const util::ExecContext&)> run;
+  long long work_macs = 0;  ///< 0 = not counted (the session case)
+  std::function<std::vector<float>(int threads)> run;
   std::function<std::vector<float>()> ref;
+  bool threaded = false;
+};
+
+/// EngineSessions over one shared plan, one per thread count, each
+/// with its own pool (threads - 1 helpers; the caller participates).
+/// Built on first use, so a sweep pays only for the counts it lists.
+struct SessionSweep {
+  std::shared_ptr<const deploy::ExecutionPlan> plan;
+  deploy::BackendKind kind = deploy::kDefaultBackend;
+  tensor::Tensor input;
+  struct Lane {
+    std::unique_ptr<util::ThreadPool> pool;
+    std::unique_ptr<serve::EngineSession> session;
+  };
+  std::map<int, Lane> lanes;
+
+  std::vector<float> run(int threads) {
+    Lane& lane = lanes[threads];
+    if (lane.session == nullptr) {
+      if (threads > 1) lane.pool = std::make_unique<util::ThreadPool>(threads - 1);
+      lane.session = std::make_unique<serve::EngineSession>(
+          plan, 1, util::ExecContext{lane.pool.get(), threads},
+          deploy::make_backend(kind));
+    }
+    const tensor::Tensor out = lane.session->run(input);
+    return std::vector<float>(out.data(), out.data() + out.numel());
+  }
 };
 
 /// Synthetic IntegerLayer with a mixed bit pattern (pruned filters
@@ -162,24 +197,54 @@ int main(int argc, char** argv) {
   util::Rng rng(42);
   std::vector<Case> cases;
 
-  /// Registers a scalar integer case plus (per --backends) its simd
-  /// twin running the packed kernels over the same layer and codes; the
-  /// twin is byte-verified against the scalar serial run before any
-  /// timing.
-  const auto add_integer_case =
-      [&](const std::string& name, const std::string& desc, long long macs,
-          std::function<std::vector<float>(const util::ExecContext&)> scalar_run,
-          std::function<std::vector<float>(const util::ExecContext&)> simd_run) {
-        if (want_scalar) cases.push_back({name, desc, "scalar", macs, scalar_run, {}});
-        if (want_simd) {
-          cases.push_back({name + "@simd",
-                           desc + " (simd backend, " +
-                               std::string(deploy::simd_tier_name(simd_tier)) +
-                               " tier)",
-                           "simd", macs, simd_run,
-                           [scalar_run] { return scalar_run({}); }});
-        }
-      };
+  /// Registers a scalar case plus (per --backends) its simd twin over
+  /// the same inputs; the twin is byte-verified against the scalar
+  /// serial run before any timing.
+  const auto add_case = [&](const std::string& name, const std::string& desc,
+                            long long macs, bool threaded,
+                            std::function<std::vector<float>(int)> scalar_run,
+                            std::function<std::vector<float>(int)> simd_run) {
+    if (want_scalar) {
+      cases.push_back({name, desc, "scalar", macs, scalar_run, {}, threaded});
+    }
+    if (want_simd) {
+      cases.push_back({name + "@simd",
+                       desc + " (simd backend, " +
+                           std::string(deploy::simd_tier_name(simd_tier)) + " tier)",
+                       "simd", macs, simd_run, [scalar_run] { return scalar_run(1); },
+                       threaded});
+    }
+  };
+  /// A serial kernel case: its runs ignore the thread count.
+  const auto add_integer_case = [&](const std::string& name, const std::string& desc,
+                                    long long macs,
+                                    std::function<std::vector<float>()> scalar_run,
+                                    std::function<std::vector<float>()> simd_run) {
+    add_case(name, desc, macs, false, [scalar_run](int) { return scalar_run(); },
+             [simd_run](int) { return simd_run(); });
+  };
+
+  // The session case of the thread-scaling gate: default-size VggSmall,
+  // batch 8, optimized plan, one session per thread count.
+  {
+    const nn::VggSmallConfig cfg;
+    nn::VggSmall vgg(cfg);
+    const tensor::Shape in = {cfg.in_channels, cfg.image_size, cfg.image_size};
+    const auto plan = std::make_shared<const deploy::ExecutionPlan>(
+        serve::compile_session_plan(serve::fabricate_artifact(vgg, in, 3, 5),
+                                    serve::PlanOpt::kO1));
+    const tensor::Tensor input = serve::random_batch(in, 8, 23);
+    const auto sweep = [&](deploy::BackendKind kind) {
+      auto s = std::make_shared<SessionSweep>();
+      s->plan = plan;
+      s->kind = kind;
+      s->input = input;
+      return [s](int threads) { return s->run(threads); };
+    };
+    add_case("session_vgg_small_b8",
+             "EngineSession VggSmall (default size), batch 8, kO1", 0, true,
+             sweep(deploy::BackendKind::Scalar), sweep(deploy::BackendKind::Simd));
+  }
 
   // The "large-layer case" of the perf-smoke assertions: one image
   // through a VGG-middle-sized conv, ~75M MACs.
@@ -195,24 +260,24 @@ int main(int argc, char** argv) {
     add_integer_case(
         "integer_conv_large", "integer conv 64x32x32 -> 128 filters, 3x3",
         2LL * batch * filters * per_filter * hw * hw,
-        [=](const util::ExecContext& exec) {
+        [=] {
           tensor::Tensor out = deploy::integer_conv_forward(
-              *layer, *acts, batch, in_c, hw, hw, kernel, 1, 1, exec);
+              *layer, *acts, batch, in_c, hw, hw, kernel, 1, 1);
           return std::vector<float>(out.data(), out.data() + out.numel());
         },
-        [=](const util::ExecContext& exec) {
+        [=] {
           std::vector<float> out(static_cast<std::size_t>(batch) * filters * hw * hw);
           std::vector<std::int32_t> cols;
           std::vector<std::int16_t> cols16;
           std::vector<std::uint8_t> cols8;
           deploy::simd::conv_forward_into(simd_tier, *spacked, *acts, batch, in_c,
                                           hw, hw, kernel, 1, 1, out.data(), cols,
-                                          cols16, cols8, exec);
+                                          cols16, cols8);
           return out;
         });
   }
 
-  // Small conv: shows where threading/tiling overhead eats the win.
+  // Small conv: shows where tiling overhead eats the win.
   {
     const int in_c = 8, hw = 16, filters = 16, kernel = 3, batch = 1;
     const std::int64_t per_filter = static_cast<std::int64_t>(in_c) * kernel * kernel;
@@ -225,24 +290,24 @@ int main(int argc, char** argv) {
     add_integer_case(
         "integer_conv_small", "integer conv 8x16x16 -> 16 filters, 3x3",
         2LL * batch * filters * per_filter * hw * hw,
-        [=](const util::ExecContext& exec) {
+        [=] {
           tensor::Tensor out = deploy::integer_conv_forward(
-              *layer, *acts, batch, in_c, hw, hw, kernel, 1, 1, exec);
+              *layer, *acts, batch, in_c, hw, hw, kernel, 1, 1);
           return std::vector<float>(out.data(), out.data() + out.numel());
         },
-        [=](const util::ExecContext& exec) {
+        [=] {
           std::vector<float> out(static_cast<std::size_t>(batch) * filters * hw * hw);
           std::vector<std::int32_t> cols;
           std::vector<std::int16_t> cols16;
           std::vector<std::uint8_t> cols8;
           deploy::simd::conv_forward_into(simd_tier, *spacked, *acts, batch, in_c,
                                           hw, hw, kernel, 1, 1, out.data(), cols,
-                                          cols16, cols8, exec);
+                                          cols16, cols8);
           return out;
         });
   }
 
-  // Integer FC layer, chunked over output rows / filter tiles.
+  // Integer FC layer.
   {
     const int in_features = 1024, filters = 1024, batch = 16;
     auto layer = std::make_shared<deploy::IntegerLayer>(
@@ -254,18 +319,17 @@ int main(int argc, char** argv) {
     add_integer_case(
         "integer_linear_large", "integer linear 16x1024 -> 1024",
         2LL * batch * in_features * filters,
-        [=](const util::ExecContext& exec) {
+        [=] {
           tensor::Tensor out =
-              deploy::integer_linear_forward(*layer, *acts, batch, in_features, exec);
+              deploy::integer_linear_forward(*layer, *acts, batch, in_features);
           return std::vector<float>(out.data(), out.data() + out.numel());
         },
-        [=](const util::ExecContext& exec) {
+        [=] {
           std::vector<float> out(static_cast<std::size_t>(batch) * filters);
           std::vector<std::int16_t> acts16;
           std::vector<std::uint8_t> acts8;
           deploy::simd::linear_forward_into(simd_tier, *spacked, *acts, batch,
-                                            in_features, out.data(), acts16, acts8,
-                                            exec);
+                                            in_features, out.data(), acts16, acts8);
           return out;
         });
   }
@@ -281,10 +345,9 @@ int main(int argc, char** argv) {
         tensor::Tensor::randn({k, n}, gemm_rng));
     cases.push_back({"gemm_float_256", "tensor::gemm 256x256x256", "scalar",
                      2LL * m * k * n,
-                     [=](const util::ExecContext& exec) {
+                     [=](int) {
                        std::vector<float> c(static_cast<std::size_t>(m) * n);
-                       tensor::gemm(a->data(), b->data(), c.data(), m, k, n,
-                                    /*accumulate=*/false, exec);
+                       tensor::gemm(a->data(), b->data(), c.data(), m, k, n);
                        return c;
                      },
                      {}});
@@ -305,35 +368,40 @@ int main(int argc, char** argv) {
     CaseResult result;
     result.c = &c;
     // Identity reference: the case's own serial run, or — for simd
-    // cases — the scalar kernel's serial run (the byte-identity
-    // contract every backend is held to).
-    const std::vector<float> reference = c.ref ? c.ref() : c.run({});
+    // cases — the scalar serial run (the byte-identity contract every
+    // backend is held to).
+    const std::vector<float> reference = c.ref ? c.ref() : c.run(1);
+    const auto matches = [&reference](const std::vector<float>& out) {
+      return out.size() == reference.size() &&
+             std::memcmp(out.data(), reference.data(),
+                         reference.size() * sizeof(float)) == 0;
+    };
     // The speedup baseline is always the strictly serial run, whatever
     // --threads lists — otherwise omitting 1 would silently rebase the
     // asserted speedup on a threaded time. Scalar cases are already
-    // warm from the reference run; simd cases warm their own kernel.
-    if (c.ref) c.run({});
+    // warm from the reference run; simd cases warm (and verify) their
+    // own run.
+    if (c.ref && !matches(c.run(1))) {
+      std::fprintf(stderr,
+                   "kernel_scaling: %s is NOT byte-identical to the scalar serial "
+                   "reference\n",
+                   c.name.c_str());
+      return 2;
+    }
     double base_ms = 0.0;
     for (int r = 0; r < repeat; ++r) {
       util::Timer timer;
-      c.run({});
+      c.run(1);
       const double ms = timer.millis();
       if (r == 0 || ms < base_ms) base_ms = ms;
     }
-    for (const int t : thread_counts) {
-      // The caller participates, so a pool of t-1 helpers gives t
-      // threads; t=1 is the strictly serial path (no pool at all).
-      std::unique_ptr<util::ThreadPool> pool;
-      if (t > 1) pool = std::make_unique<util::ThreadPool>(t - 1);
-      const util::ExecContext exec{pool.get(), t};
-
-      const std::vector<float> warm = c.run(exec);  // warm + verify
-      if (warm.size() != reference.size() ||
-          std::memcmp(warm.data(), reference.data(),
-                      reference.size() * sizeof(float)) != 0) {
+    // Kernels are serial: their one point is the baseline itself.
+    if (!c.threaded) result.points.push_back({1, base_ms, 1.0});
+    for (const int t : c.threaded ? thread_counts : std::vector<int>{}) {
+      if (!matches(c.run(t))) {  // warm + verify
         std::fprintf(stderr,
                      "kernel_scaling: %s at %d threads is NOT byte-identical "
-                     "to the scalar serial reference\n",
+                     "to the serial reference\n",
                      c.name.c_str(), t);
         return 2;
       }
@@ -341,7 +409,7 @@ int main(int argc, char** argv) {
       double best = 0.0;
       for (int r = 0; r < repeat; ++r) {
         util::Timer timer;
-        c.run(exec);
+        c.run(t);
         const double ms = timer.millis();
         if (r == 0 || ms < best) best = ms;
       }
@@ -356,9 +424,11 @@ int main(int argc, char** argv) {
     for (const Point& p : r.points) {
       table.add_row({std::to_string(p.threads), util::Table::num(p.best_ms, 3),
                      util::Table::num(p.speedup, 2),
-                     util::Table::num(static_cast<double>(r.c->work_macs) /
-                                          (p.best_ms * 1e6),
-                                      2)});
+                     r.c->work_macs > 0
+                         ? util::Table::num(static_cast<double>(r.c->work_macs) /
+                                                (p.best_ms * 1e6),
+                                            2)
+                         : std::string("-")});
     }
     std::printf("%s — %s\n%s\n", r.c->name.c_str(), r.c->desc.c_str(),
                 table.render().c_str());

@@ -5,7 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <memory>
+#include <vector>
 
 #include "nn/conv2d.h"
 #include "deploy/backend.h"
@@ -15,8 +15,6 @@
 #include "quant/integer_gemm.h"
 #include "quant/uniform.h"
 #include "tensor/ops.h"
-#include "util/exec_context.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -34,7 +32,7 @@ void BM_Gemm(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2LL * n * n * n);
 }
-BENCHMARK(BM_Gemm)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_Gemm)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_GemmABt(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -124,7 +122,7 @@ void BM_EpilogueEncode(benchmark::State& state) {
   io.out = out.data();
   io.batch = kEpBatch;
   for (auto _ : state) {
-    deploy::apply_epilogue(op, io, kEpNumel / kEpBatch, {});
+    deploy::apply_epilogue(op, io, kEpNumel / kEpBatch);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -204,39 +202,7 @@ void BM_LinearForward(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearForward);
 
-// --- Threaded kernel variants (intra-op ExecContext) -----------------
-// Arg(0) is the thread count (caller included); 1 = serial path. The
-// pool lives outside the timing loop, so these measure steady-state
-// chunking cost, not thread spawn. On a single-core host the >1-thread
-// rows measure pure overhead; real scaling numbers come from the CI
-// perf-smoke lane (bench/kernel_scaling).
-
-/// Pool sized for `threads` participants (caller + helpers).
-std::unique_ptr<util::ThreadPool> pool_for(int threads) {
-  return threads > 1 ? std::make_unique<util::ThreadPool>(threads - 1) : nullptr;
-}
-
-void BM_GemmThreaded(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const int n = 256;
-  const auto pool = pool_for(threads);
-  const util::ExecContext exec{pool.get(), threads};
-  util::Rng rng(10);
-  const tensor::Tensor a = tensor::Tensor::randn({n, n}, rng);
-  const tensor::Tensor b = tensor::Tensor::randn({n, n}, rng);
-  tensor::Tensor c({n, n});
-  for (auto _ : state) {
-    tensor::gemm(a.data(), b.data(), c.data(), n, n, n, /*accumulate=*/false, exec);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2LL * n * n * n);
-}
-BENCHMARK(BM_GemmThreaded)->Arg(1)->Arg(2)->Arg(4);
-
-void BM_IntegerConvForwardThreaded(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const auto pool = pool_for(threads);
-  const util::ExecContext exec{pool.get(), threads};
+void BM_IntegerConvForward(benchmark::State& state) {
   util::Rng rng(11);
   nn::Conv2d conv(16, 32, 3, 1, 1, rng);
   conv.set_filter_bits(std::vector<int>(32, 3));
@@ -247,50 +213,25 @@ void BM_IntegerConvForwardThreaded(benchmark::State& state) {
   const deploy::ActCodes codes = deploy::encode_activations(x, 1.0f, 3);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        deploy::integer_conv_forward(integer, codes, 4, 16, 16, 16, 3, 1, 1, exec)
-            .data());
+        deploy::integer_conv_forward(integer, codes, 4, 16, 16, 16, 3, 1, 1).data());
   }
   state.SetItemsProcessed(state.iterations() * 2LL * 4 * 32 * (16 * 9) * 16 * 16);
 }
-BENCHMARK(BM_IntegerConvForwardThreaded)->Arg(1)->Arg(2)->Arg(4);
-
-void BM_IntegerLinearForwardThreaded(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const auto pool = pool_for(threads);
-  const util::ExecContext exec{pool.get(), threads};
-  util::Rng rng(12);
-  nn::Linear fc(512, 256, rng);
-  fc.set_filter_bits(std::vector<int>(256, 4));
-  const deploy::PackedLayer packed = deploy::pack_layer(fc, "fc");
-  const deploy::IntegerLayer integer =
-      deploy::build_integer_layer(packed, std::vector<float>(256, 0.0f));
-  const tensor::Tensor x = tensor::Tensor::rand_uniform({32, 512}, rng, 0.0f, 1.0f);
-  const deploy::ActCodes codes = deploy::encode_activations(x, 1.0f, 4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        deploy::integer_linear_forward(integer, codes, 32, 512, exec).data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2LL * 32 * 512 * 256);
-}
-BENCHMARK(BM_IntegerLinearForwardThreaded)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_IntegerConvForward);
 
 // --- SIMD backend variants -------------------------------------------
 // The deploy::simd explicit kernels against the scalar rows above
-// (same layers, same codes; Arg(0) is again the thread count) at the
-// tier this machine resolves — avx2 where CPUID allows,
-// portable elsewhere. Skipped under CQ_SIMD=off, where the tier would
-// only throw.
+// (same layers and shapes) at the tier this machine resolves — avx2
+// where CPUID allows, portable elsewhere. Skipped under CQ_SIMD=off,
+// where the tier would only throw.
 
-void BM_SimdConvForwardThreaded(benchmark::State& state) {
+void BM_SimdConvForward(benchmark::State& state) {
   const deploy::SimdTier tier = deploy::resolve_simd_tier();
   if (tier == deploy::SimdTier::kScalar) {
     state.SkipWithError("resolved SIMD tier is 'scalar' (CQ_SIMD=off?)");
     return;
   }
-  const int threads = static_cast<int>(state.range(0));
-  const auto pool = pool_for(threads);
-  const util::ExecContext exec{pool.get(), threads};
-  util::Rng rng(11);  // same seed/shape as BM_IntegerConvForwardThreaded
+  util::Rng rng(11);  // same seed/shape as BM_IntegerConvForward
   nn::Conv2d conv(16, 32, 3, 1, 1, rng);
   conv.set_filter_bits(std::vector<int>(32, 3));
   const deploy::PackedLayer packed = deploy::pack_layer(conv, "conv");
@@ -305,23 +246,20 @@ void BM_SimdConvForwardThreaded(benchmark::State& state) {
   std::vector<std::uint8_t> cols8;
   for (auto _ : state) {
     deploy::simd::conv_forward_into(tier, panels, codes, 4, 16, 16, 16, 3, 1, 1,
-                                    out.data(), cols, cols16, cols8, exec);
+                                    out.data(), cols, cols16, cols8);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * 2LL * 4 * 32 * (16 * 9) * 16 * 16);
 }
-BENCHMARK(BM_SimdConvForwardThreaded)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_SimdConvForward);
 
-void BM_SimdLinearForwardThreaded(benchmark::State& state) {
+void BM_SimdLinearForward(benchmark::State& state) {
   const deploy::SimdTier tier = deploy::resolve_simd_tier();
   if (tier == deploy::SimdTier::kScalar) {
     state.SkipWithError("resolved SIMD tier is 'scalar' (CQ_SIMD=off?)");
     return;
   }
-  const int threads = static_cast<int>(state.range(0));
-  const auto pool = pool_for(threads);
-  const util::ExecContext exec{pool.get(), threads};
-  util::Rng rng(12);  // same seed/shape as BM_IntegerLinearForwardThreaded
+  util::Rng rng(12);  // same shape as BM_IntegerLinearForward/4
   nn::Linear fc(512, 256, rng);
   fc.set_filter_bits(std::vector<int>(256, 4));
   const deploy::PackedLayer packed = deploy::pack_layer(fc, "fc");
@@ -334,13 +272,13 @@ void BM_SimdLinearForwardThreaded(benchmark::State& state) {
   std::vector<std::int16_t> acts16;
   std::vector<std::uint8_t> acts8;
   for (auto _ : state) {
-    deploy::simd::linear_forward_into(tier, panels, codes, 32, 512, out.data(),
-                                      acts16, acts8, exec);
+    deploy::simd::linear_forward_into(tier, panels, codes, 32, 512, out.data(), acts16,
+                                      acts8);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * 2LL * 32 * 512 * 256);
 }
-BENCHMARK(BM_SimdLinearForwardThreaded)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_SimdLinearForward);
 
 }  // namespace
 

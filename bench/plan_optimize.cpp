@@ -18,8 +18,9 @@
 // byte-identical to the unoptimized plan's.
 //
 // Other knobs: --backend=scalar|simd (kernel backend for both
-// sessions, default deploy::kDefaultBackend), --threads=N (intra-op threads), --batch=N (samples per
-// run), --repeat=N (timed runs per session; best-of reported).
+// sessions, default deploy::kDefaultBackend), --threads=N (threads each
+// session splits its batch over), --batch=N (samples per run),
+// --repeat=N (timed runs per session; best-of reported).
 
 #include <cstdio>
 #include <cstring>
@@ -75,7 +76,7 @@ int main(int argc, char** argv) {
   }
 
   // The caller participates in its own parallel_for, so a pool of
-  // threads - 1 helpers gives `threads` intra-op threads.
+  // threads - 1 helpers gives `threads` threads per forward.
   std::unique_ptr<util::ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads - 1);
   const util::ExecContext exec{pool.get(), threads};

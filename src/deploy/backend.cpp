@@ -53,13 +53,12 @@ void with_epilogue_tail(const PlanOp& op, Body&& body) {
 }  // namespace
 
 void apply_epilogue(const PlanOp& op, const BackendIo& io,
-                    std::size_t out_numel_per_sample,
-                    const util::ExecContext& exec) {
+                    std::size_t out_numel_per_sample) {
   if (!op.ep_bn && !op.ep_add && !op.ep_relu && !op.ep_encode) return;
   float* const out = io.out;
   const float* const in1 = io.in1;
   const auto batch = static_cast<std::size_t>(io.batch);
-  const auto total = static_cast<std::int64_t>(out_numel_per_sample * batch);
+  const std::size_t total = out_numel_per_sample * batch;
   // ep_encode is the consumer-side encode (encode_activations_into)
   // hoisted into the producer: the resulting integer codes are exactly
   // what every in_codes consumer would have computed, stored as floats
@@ -74,12 +73,12 @@ void apply_epilogue(const PlanOp& op, const BackendIo& io,
   // standalone ops' expressions in the standalone order
   // (BN -> Add -> Relu -> encode), in registers. Every stage maps
   // element i from element i alone, so folding the stages into a
-  // single read-modify-write per element — and chunking over `exec` —
-  // cannot change a bit versus running each op as its own buffer pass.
+  // single read-modify-write per element cannot change a bit versus
+  // running each op as its own buffer pass.
   with_epilogue_tail(op, [&](auto tail) {
     if (op.ep_bn) {
-      // Chunked over [n][c] planes so the per-channel BN constants
-      // hoist out of the inner loop; plane p = n * out_c + c starts at
+      // Walked as [n][c] planes so the per-channel BN constants hoist
+      // out of the inner loop; plane p = n * out_c + c starts at
       // p * spatial.
       const auto spatial =
           static_cast<std::int64_t>(op.out_h) * static_cast<std::int64_t>(op.out_w);
@@ -88,29 +87,24 @@ void apply_epilogue(const PlanOp& op, const BackendIo& io,
       const float* const inv_std = op.bn_inv_std.data();
       const float* const gamma = op.bn_gamma.data();
       const float* const beta = op.bn_beta.data();
-      exec.parallel_for(0, static_cast<std::int64_t>(batch) * channels,
-                        [=](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t p = lo; p < hi; ++p) {
-          const auto c = static_cast<std::size_t>(p % channels);
-          const float m = mean[c];
-          const float is = inv_std[c];
-          const float g = gamma[c];
-          const float b = beta[c];
-          float* const dst = out + p * spatial;
-          const float* const res = in1 != nullptr ? in1 + p * spatial : nullptr;
-          for (std::int64_t s = 0; s < spatial; ++s) {
-            const float xh = (dst[s] - m) * is;
-            dst[s] = tail(g * xh + b, res != nullptr ? res[s] : 0.0f, enc_hi,
-                          to_code);
-          }
+      const std::int64_t planes = static_cast<std::int64_t>(batch) * channels;
+      for (std::int64_t p = 0; p < planes; ++p) {
+        const auto c = static_cast<std::size_t>(p % channels);
+        const float m = mean[c];
+        const float is = inv_std[c];
+        const float g = gamma[c];
+        const float b = beta[c];
+        float* const dst = out + p * spatial;
+        const float* const res = in1 != nullptr ? in1 + p * spatial : nullptr;
+        for (std::int64_t s = 0; s < spatial; ++s) {
+          const float xh = (dst[s] - m) * is;
+          dst[s] = tail(g * xh + b, res != nullptr ? res[s] : 0.0f, enc_hi, to_code);
         }
-      });
+      }
     } else {
-      exec.parallel_for(0, total, [=](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) {
-          out[i] = tail(out[i], in1 != nullptr ? in1[i] : 0.0f, enc_hi, to_code);
-        }
-      });
+      for (std::size_t i = 0; i < total; ++i) {
+        out[i] = tail(out[i], in1 != nullptr ? in1[i] : 0.0f, enc_hi, to_code);
+      }
     }
   });
 }

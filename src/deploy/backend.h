@@ -8,7 +8,6 @@
 #include "deploy/cpu_features.h"
 #include "deploy/int_engine.h"
 #include "deploy/plan.h"
-#include "util/exec_context.h"
 
 namespace cq::deploy {
 
@@ -25,8 +24,9 @@ struct BackendIo {
 /// Caller-owned scratch a backend kernel may use, reused across
 /// requests so steady-state serving allocates nothing per op: the
 /// activation-code buffer, the integer im2col patch matrix, and the
-/// float im2col patch matrix. One BackendScratch per interpreter
-/// context; sized once from the plan's compile-time maxima.
+/// float im2col patch matrix. One BackendScratch per batch chunk of
+/// an interpreter context (one for a serial session); sized once from
+/// the plan's compile-time maxima.
 struct BackendScratch {
   ActCodes codes;
   std::vector<std::int32_t> int_cols;
@@ -80,7 +80,7 @@ class Backend {
 
   /// Executes one op record for a batch of io.batch samples.
   virtual void run(const PlanOp& op, const ExecutionPlan& plan, const BackendIo& io,
-                   BackendScratch& scratch, const util::ExecContext& exec) const = 0;
+                   BackendScratch& scratch) const = 0;
 
   /// Which implementation actually runs `op` ("scalar" for delegated
   /// ops) — introspection for cqar_info's plan listing. Default: name().
@@ -104,14 +104,13 @@ std::size_t op_arena_bytes(const PlanOp& op, const ExecutionPlan& plan);
 /// (io.in1) -> Relu -> grid encode, as one elementwise pass applying
 /// the standalone ops' expressions in the standalone op order to each
 /// element in registers. Every stage maps element i from element i
-/// alone, so the single-pass folding — and chunking over `exec` —
-/// keeps the result byte-identical to running each deleted op
-/// separately. One shared implementation for every backend, so fused
-/// and unfused plans — and the backends among themselves — stay
-/// byte-identical. No-op when the op carries no epilogue flags.
+/// alone, so the single-pass folding keeps the result byte-identical
+/// to running each deleted op separately. One shared implementation
+/// for every backend, so fused and unfused plans — and the backends
+/// among themselves — stay byte-identical. No-op when the op carries
+/// no epilogue flags.
 void apply_epilogue(const PlanOp& op, const BackendIo& io,
-                    std::size_t out_numel_per_sample,
-                    const util::ExecContext& exec = {});
+                    std::size_t out_numel_per_sample);
 
 /// The registered backend implementations: the byte-exact reference
 /// and the fast integer path.
@@ -143,7 +142,7 @@ class ScalarBackend : public Backend {
  public:
   const char* name() const override { return "scalar"; }
   void run(const PlanOp& op, const ExecutionPlan& plan, const BackendIo& io,
-           BackendScratch& scratch, const util::ExecContext& exec) const override;
+           BackendScratch& scratch) const override;
   /// Always "scalar" — also for subclasses' ops delegated here.
   const char* dispatch(const PlanOp&) const override { return "scalar"; }
 };
@@ -203,7 +202,7 @@ PackedSimd pack_simd(const IntegerLayer& layer);
 /// (deploy/overflow.h) — callers without that certificate run the
 /// scalar int64 reference instead. Same im2col and final rescale
 /// expressions as the scalar kernel, so outputs are byte-identical at
-/// every tier and thread count. cols_scratch holds the int32 im2col
+/// every tier. cols_scratch holds the int32 im2col
 /// matrix; cols16/cols8 the interleaved narrowed copies (int8 used
 /// only when int_reduction_fits_int8_madd proves it exact).
 void conv_forward_into(SimdTier tier, const PackedSimd& packed, const ActCodes& acts,
@@ -211,8 +210,7 @@ void conv_forward_into(SimdTier tier, const PackedSimd& packed, const ActCodes& 
                        int stride, int pad, float* out,
                        std::vector<std::int32_t>& cols_scratch,
                        std::vector<std::int16_t>& cols16_scratch,
-                       std::vector<std::uint8_t>& cols8_scratch,
-                       const util::ExecContext& exec = {});
+                       std::vector<std::uint8_t>& cols8_scratch);
 
 /// Explicit-SIMD fully-connected kernel; same requirements and
 /// byte-identity contract as conv_forward_into. acts16/acts8 hold the
@@ -220,8 +218,7 @@ void conv_forward_into(SimdTier tier, const PackedSimd& packed, const ActCodes& 
 void linear_forward_into(SimdTier tier, const PackedSimd& packed, const ActCodes& acts,
                          int batch, int in_features, float* out,
                          std::vector<std::int16_t>& acts16_scratch,
-                         std::vector<std::uint8_t>& acts8_scratch,
-                         const util::ExecContext& exec = {});
+                         std::vector<std::uint8_t>& acts8_scratch);
 
 }  // namespace simd
 
@@ -245,7 +242,7 @@ class SimdBackend : public ScalarBackend {
   const char* name() const override { return "simd"; }
   void prepare(const ExecutionPlan& plan) override;
   void run(const PlanOp& op, const ExecutionPlan& plan, const BackendIo& io,
-           BackendScratch& scratch, const util::ExecContext& exec) const override;
+           BackendScratch& scratch) const override;
   /// "simd/avx2-i8", "simd/avx2", "simd/portable", or the delegated
   /// reference's label ("scalar") for delegated ops — the resolved ISA
   /// cqar_info's dispatch column and the plan profiler rows show.

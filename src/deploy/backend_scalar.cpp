@@ -13,8 +13,7 @@
 namespace cq::deploy {
 
 void ScalarBackend::run(const PlanOp& op, const ExecutionPlan& plan,
-                        const BackendIo& io, BackendScratch& scratch,
-                        const util::ExecContext& exec) const {
+                        const BackendIo& io, BackendScratch& scratch) const {
   const std::vector<PlanSlot>& slots = plan.slots();
   const int batch = io.batch;
   const std::size_t out_numel =
@@ -122,10 +121,10 @@ void ScalarBackend::run(const PlanOp& op, const ExecutionPlan& plan,
       const std::size_t out_stride = static_cast<std::size_t>(op.out_c) * spatial;
       for (int n = 0; n < batch; ++n) {
         tensor::im2col(in0 + static_cast<std::size_t>(n) * in_stride, g,
-                       scratch.float_cols.data(), exec);
+                       scratch.float_cols.data());
         float* out_n = out + static_cast<std::size_t>(n) * out_stride;
         tensor::gemm(op.weight.data(), scratch.float_cols.data(), out_n, op.out_c,
-                     g.patch_size(), spatial, /*accumulate=*/false, exec);
+                     g.patch_size(), spatial, /*accumulate=*/false);
         for (int c = 0; c < op.out_c; ++c) {
           const float b = op.bias[static_cast<std::size_t>(c)];
           if (b == 0.0f) continue;
@@ -133,19 +132,19 @@ void ScalarBackend::run(const PlanOp& op, const ExecutionPlan& plan,
           for (int s = 0; s < spatial; ++s) plane[s] += b;
         }
       }
-      apply_epilogue(op, io, out_per_sample, exec);
+      apply_epilogue(op, io, out_per_sample);
       return;
     }
     case OpKind::FloatLinear: {
       tensor::gemm_a_bt(in0, op.weight.data(), out, batch, op.in_features,
-                        op.out_features, /*accumulate=*/false, exec);
+                        op.out_features, /*accumulate=*/false);
       for (int n = 0; n < batch; ++n) {
         float* row = out + static_cast<std::size_t>(n) * op.out_features;
         for (int k = 0; k < op.out_features; ++k) {
           row[k] += op.bias[static_cast<std::size_t>(k)];
         }
       }
-      apply_epilogue(op, io, slots[static_cast<std::size_t>(op.out)].numel, exec);
+      apply_epilogue(op, io, slots[static_cast<std::size_t>(op.out)].numel);
       return;
     }
     case OpKind::IntConv: {
@@ -154,31 +153,29 @@ void ScalarBackend::run(const PlanOp& op, const ExecutionPlan& plan,
       // in_codes inputs already hold grid codes (an ep_encode producer
       // wrote them); adopting them is a cast, not a re-encode.
       if (op.in_codes) {
-        cast_codes_into(in0, in_count, op.act_hi, op.act_bits, scratch.codes, exec);
+        cast_codes_into(in0, in_count, op.act_hi, op.act_bits, scratch.codes);
       } else {
-        encode_activations_into(in0, in_count, op.act_hi, op.act_bits, scratch.codes,
-                                exec);
+        encode_activations_into(in0, in_count, op.act_hi, op.act_bits, scratch.codes);
       }
       integer_conv_forward_into(
           plan.integer_layers()[static_cast<std::size_t>(op.layer)], scratch.codes,
           batch, op.in_c, op.in_h, op.in_w, op.kernel, op.stride, op.pad, out,
-          scratch.int_cols, exec);
-      apply_epilogue(op, io, slots[static_cast<std::size_t>(op.out)].numel, exec);
+          scratch.int_cols);
+      apply_epilogue(op, io, slots[static_cast<std::size_t>(op.out)].numel);
       return;
     }
     case OpKind::IntLinear: {
       const std::size_t in_count = static_cast<std::size_t>(op.in_features) *
                                    static_cast<std::size_t>(batch);
       if (op.in_codes) {
-        cast_codes_into(in0, in_count, op.act_hi, op.act_bits, scratch.codes, exec);
+        cast_codes_into(in0, in_count, op.act_hi, op.act_bits, scratch.codes);
       } else {
-        encode_activations_into(in0, in_count, op.act_hi, op.act_bits, scratch.codes,
-                                exec);
+        encode_activations_into(in0, in_count, op.act_hi, op.act_bits, scratch.codes);
       }
       integer_linear_forward_into(
           plan.integer_layers()[static_cast<std::size_t>(op.layer)], scratch.codes,
-          batch, op.in_features, out, exec);
-      apply_epilogue(op, io, slots[static_cast<std::size_t>(op.out)].numel, exec);
+          batch, op.in_features, out);
+      apply_epilogue(op, io, slots[static_cast<std::size_t>(op.out)].numel);
       return;
     }
   }

@@ -122,6 +122,11 @@ namespace {
 /// accumulators, amortizing the weight traffic over the batch.
 inline constexpr int kBatchBlock = 4;
 
+/// Filter tiles of a packed layer; every MAC kernel sweeps all of them.
+std::int64_t tile_count(const PackedSimd& packed) {
+  return (static_cast<std::int64_t>(packed.num_filters) + kFilterTile - 1) / kFilterTile;
+}
+
 void check_packed(const PackedSimd& packed, SimdTier tier, const char* kernel) {
   if (!packed.usable) {
     throw std::logic_error(std::string(kernel) +
@@ -150,45 +155,36 @@ void check_fits_int32(const PackedSimd& packed, const ActCodes& acts,
 /// 0 * anything = 0). Codes are non-negative and the caller proved
 /// acts.bits <= 15, so the int16 narrowing is value-preserving.
 void build_pair_cols(const std::int32_t* cols, std::size_t patch,
-                     std::size_t spatial, std::int16_t* cols16,
-                     const util::ExecContext& exec) {
+                     std::size_t spatial, std::int16_t* cols16) {
   const std::size_t pairs = (patch + 1) / 2;
-  exec.parallel_for(0, static_cast<std::int64_t>(pairs),
-                    [=](std::int64_t p0, std::int64_t p1) {
-    for (std::int64_t p = p0; p < p1; ++p) {
-      const std::size_t j0 = static_cast<std::size_t>(p) * 2;
-      const std::int32_t* r0 = cols + j0 * spatial;
-      const std::int32_t* r1 = j0 + 1 < patch ? r0 + spatial : nullptr;
-      std::int16_t* dst = cols16 + static_cast<std::size_t>(p) * spatial * 2;
-      for (std::size_t s = 0; s < spatial; ++s) {
-        dst[s * 2] = static_cast<std::int16_t>(r0[s]);
-        dst[s * 2 + 1] = r1 != nullptr ? static_cast<std::int16_t>(r1[s]) : 0;
-      }
+  for (std::size_t p = 0; p < pairs; ++p) {
+    const std::size_t j0 = p * 2;
+    const std::int32_t* r0 = cols + j0 * spatial;
+    const std::int32_t* r1 = j0 + 1 < patch ? r0 + spatial : nullptr;
+    std::int16_t* dst = cols16 + p * spatial * 2;
+    for (std::size_t s = 0; s < spatial; ++s) {
+      dst[s * 2] = static_cast<std::int16_t>(r0[s]);
+      dst[s * 2 + 1] = r1 != nullptr ? static_cast<std::int16_t>(r1[s]) : 0;
     }
-  });
+  }
 }
 
 /// Same rewrite into the quad-interleaved uint8 layout [quads][spatial][4]
 /// for the maddubs path; the caller proved acts.bits <= 8.
 void build_quad_cols(const std::int32_t* cols, std::size_t patch,
-                     std::size_t spatial, std::uint8_t* cols8,
-                     const util::ExecContext& exec) {
+                     std::size_t spatial, std::uint8_t* cols8) {
   const std::size_t quads = (patch + 3) / 4;
-  exec.parallel_for(0, static_cast<std::int64_t>(quads),
-                    [=](std::int64_t q0, std::int64_t q1) {
-    for (std::int64_t q = q0; q < q1; ++q) {
-      const std::size_t j0 = static_cast<std::size_t>(q) * 4;
-      std::uint8_t* dst = cols8 + static_cast<std::size_t>(q) * spatial * 4;
-      for (std::size_t s = 0; s < spatial; ++s) {
-        for (std::size_t r = 0; r < 4; ++r) {
-          dst[s * 4 + r] =
-              j0 + r < patch
-                  ? static_cast<std::uint8_t>(cols[(j0 + r) * spatial + s])
-                  : 0;
-        }
+  for (std::size_t q = 0; q < quads; ++q) {
+    const std::size_t j0 = q * 4;
+    std::uint8_t* dst = cols8 + q * spatial * 4;
+    for (std::size_t s = 0; s < spatial; ++s) {
+      for (std::size_t r = 0; r < 4; ++r) {
+        dst[s * 4 + r] =
+            j0 + r < patch ? static_cast<std::uint8_t>(cols[(j0 + r) * spatial + s])
+                           : 0;
       }
     }
-  });
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -206,15 +202,14 @@ typedef std::int32_t Vec8i __attribute__((vector_size(32), aligned(4)));
 typedef float Vec8f __attribute__((vector_size(32), aligned(4)));
 typedef std::int16_t Vec8s __attribute__((vector_size(16), aligned(2)));
 
-/// Conv MAC over one image, filter tiles [t0, t1): 8 output positions
+/// Conv MAC over one image, every filter tile: 8 output positions
 /// per vector accumulator, weights read as scalars from the lane
 /// panels and broadcast.
 void conv_tiles_portable(const PackedSimd& packed, float act_scale,
                          const std::int32_t* cols, std::size_t patch,
-                         std::size_t spatial, float* out_n, std::int64_t t0,
-                         std::int64_t t1) {
+                         std::size_t spatial, float* out_n) {
   const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
-  for (std::int64_t t = t0; t < t1; ++t) {
+  for (std::int64_t t = 0, tiles = tile_count(packed); t < tiles; ++t) {
     const std::int16_t* panel =
         packed.lane_panels.data() + static_cast<std::size_t>(t) * patch * kFilterTile;
     const std::size_t k0 = static_cast<std::size_t>(t) * kFilterTile;
@@ -256,14 +251,13 @@ void conv_tiles_portable(const PackedSimd& packed, float act_scale,
   }
 }
 
-/// Linear MAC, filter tiles [t0, t1): the int16 lane panel row is
+/// Linear MAC, every filter tile: the int16 lane panel row is
 /// widened to a full int32 vector once and multiplied into
 /// kBatchBlock samples' 8-wide accumulators.
 void linear_tiles_portable(const PackedSimd& packed, const ActCodes& acts,
-                           int batch, std::size_t features, float* out,
-                           std::int64_t t0, std::int64_t t1) {
+                           int batch, std::size_t features, float* out) {
   const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
-  for (std::int64_t t = t0; t < t1; ++t) {
+  for (std::int64_t t = 0, tiles = tile_count(packed); t < tiles; ++t) {
     const std::int16_t* panel =
         packed.lane_panels.data() +
         static_cast<std::size_t>(t) * features * kFilterTile;
@@ -311,10 +305,9 @@ void linear_tiles_portable(const PackedSimd& packed, const ActCodes& acts,
 /// positions at once.
 __attribute__((target("avx2"))) void conv_tiles_avx2_i16(
     const PackedSimd& packed, float act_scale, const std::int16_t* cols16,
-    std::size_t pairs, std::size_t spatial, float* out_n, std::int64_t t0,
-    std::int64_t t1) {
+    std::size_t pairs, std::size_t spatial, float* out_n) {
   const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
-  for (std::int64_t t = t0; t < t1; ++t) {
+  for (std::int64_t t = 0, tiles = tile_count(packed); t < tiles; ++t) {
     const std::int16_t* panel =
         packed.pair_panels.data() +
         static_cast<std::size_t>(t) * pairs * kFilterTile * 2;
@@ -370,11 +363,10 @@ __attribute__((target("avx2"))) void conv_tiles_avx2_i16(
 /// wide.
 __attribute__((target("avx2"))) void conv_tiles_avx2_i8(
     const PackedSimd& packed, float act_scale, const std::uint8_t* cols8,
-    std::size_t quads, std::size_t spatial, float* out_n, std::int64_t t0,
-    std::int64_t t1) {
+    std::size_t quads, std::size_t spatial, float* out_n) {
   const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
   const __m256i ones = _mm256_set1_epi16(1);
-  for (std::int64_t t = t0; t < t1; ++t) {
+  for (std::int64_t t = 0, tiles = tile_count(packed); t < tiles; ++t) {
     const std::int8_t* panel =
         packed.quad_panels.data() +
         static_cast<std::size_t>(t) * quads * kFilterTile * 4;
@@ -430,10 +422,10 @@ __attribute__((target("avx2"))) void conv_tiles_avx2_i8(
 /// sample's broadcast activation pair.
 __attribute__((target("avx2"))) void linear_tiles_avx2_i16(
     const PackedSimd& packed, const ActCodes& acts, const std::int16_t* acts16,
-    int batch, std::size_t pairs, float* out, std::int64_t t0, std::int64_t t1) {
+    int batch, std::size_t pairs, float* out) {
   const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
   const std::size_t padded = pairs * 2;
-  for (std::int64_t t = t0; t < t1; ++t) {
+  for (std::int64_t t = 0, tiles = tile_count(packed); t < tiles; ++t) {
     const std::int16_t* panel =
         packed.pair_panels.data() +
         static_cast<std::size_t>(t) * pairs * kFilterTile * 2;
@@ -483,11 +475,11 @@ __attribute__((target("avx2"))) void linear_tiles_avx2_i16(
 /// Linear MAC over quad-interleaved uint8 activations via maddubs.
 __attribute__((target("avx2"))) void linear_tiles_avx2_i8(
     const PackedSimd& packed, const ActCodes& acts, const std::uint8_t* acts8,
-    int batch, std::size_t quads, float* out, std::int64_t t0, std::int64_t t1) {
+    int batch, std::size_t quads, float* out) {
   const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
   const std::size_t padded = quads * 4;
   const __m256i ones = _mm256_set1_epi16(1);
-  for (std::int64_t t = t0; t < t1; ++t) {
+  for (std::int64_t t = 0, tiles = tile_count(packed); t < tiles; ++t) {
     const std::int8_t* panel =
         packed.quad_panels.data() +
         static_cast<std::size_t>(t) * quads * kFilterTile * 4;
@@ -538,36 +530,30 @@ __attribute__((target("avx2"))) void linear_tiles_avx2_i8(
 /// Narrows the [batch][features] activation code matrix to int16,
 /// zero-padding each row to the pair boundary.
 void build_pair_acts(const ActCodes& acts, int batch, std::size_t features,
-                     std::int16_t* acts16, const util::ExecContext& exec) {
+                     std::int16_t* acts16) {
   const std::size_t padded = ((features + 1) / 2) * 2;
-  exec.parallel_for(0, batch, [=, &acts](std::int64_t n0, std::int64_t n1) {
-    for (std::int64_t n = n0; n < n1; ++n) {
-      const std::int32_t* src =
-          acts.codes.data() + static_cast<std::size_t>(n) * features;
-      std::int16_t* dst = acts16 + static_cast<std::size_t>(n) * padded;
-      for (std::size_t j = 0; j < features; ++j) {
-        dst[j] = static_cast<std::int16_t>(src[j]);
-      }
-      for (std::size_t j = features; j < padded; ++j) dst[j] = 0;
+  for (int n = 0; n < batch; ++n) {
+    const std::int32_t* src = acts.codes.data() + static_cast<std::size_t>(n) * features;
+    std::int16_t* dst = acts16 + static_cast<std::size_t>(n) * padded;
+    for (std::size_t j = 0; j < features; ++j) {
+      dst[j] = static_cast<std::int16_t>(src[j]);
     }
-  });
+    for (std::size_t j = features; j < padded; ++j) dst[j] = 0;
+  }
 }
 
 /// Same, to uint8 at the quad boundary.
 void build_quad_acts(const ActCodes& acts, int batch, std::size_t features,
-                     std::uint8_t* acts8, const util::ExecContext& exec) {
+                     std::uint8_t* acts8) {
   const std::size_t padded = ((features + 3) / 4) * 4;
-  exec.parallel_for(0, batch, [=, &acts](std::int64_t n0, std::int64_t n1) {
-    for (std::int64_t n = n0; n < n1; ++n) {
-      const std::int32_t* src =
-          acts.codes.data() + static_cast<std::size_t>(n) * features;
-      std::uint8_t* dst = acts8 + static_cast<std::size_t>(n) * padded;
-      for (std::size_t j = 0; j < features; ++j) {
-        dst[j] = static_cast<std::uint8_t>(src[j]);
-      }
-      for (std::size_t j = features; j < padded; ++j) dst[j] = 0;
+  for (int n = 0; n < batch; ++n) {
+    const std::int32_t* src = acts.codes.data() + static_cast<std::size_t>(n) * features;
+    std::uint8_t* dst = acts8 + static_cast<std::size_t>(n) * padded;
+    for (std::size_t j = 0; j < features; ++j) {
+      dst[j] = static_cast<std::uint8_t>(src[j]);
     }
-  });
+    for (std::size_t j = features; j < padded; ++j) dst[j] = 0;
+  }
 }
 
 #if CQ_SIMD_SSE2_BASELINE
@@ -578,10 +564,9 @@ void build_quad_acts(const ActCodes& acts, int batch, std::size_t features,
 /// positions per strip, one madd_epi16 per (pair, filter).
 void conv_tiles_sse2_i16(const PackedSimd& packed, float act_scale,
                          const std::int16_t* cols16, std::size_t pairs,
-                         std::size_t spatial, float* out_n, std::int64_t t0,
-                         std::int64_t t1) {
+                         std::size_t spatial, float* out_n) {
   const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
-  for (std::int64_t t = t0; t < t1; ++t) {
+  for (std::int64_t t = 0, tiles = tile_count(packed); t < tiles; ++t) {
     const std::int16_t* panel =
         packed.pair_panels.data() +
         static_cast<std::size_t>(t) * pairs * kFilterTile * 2;
@@ -635,11 +620,10 @@ void conv_tiles_sse2_i16(const PackedSimd& packed, float act_scale,
 /// feeds both halves' accumulators through pmaddwd.
 void linear_tiles_sse2_i16(const PackedSimd& packed, const ActCodes& acts,
                            const std::int16_t* acts16, int batch,
-                           std::size_t pairs, float* out, std::int64_t t0,
-                           std::int64_t t1) {
+                           std::size_t pairs, float* out) {
   const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
   const std::size_t padded = pairs * 2;
-  for (std::int64_t t = t0; t < t1; ++t) {
+  for (std::int64_t t = 0, tiles = tile_count(packed); t < tiles; ++t) {
     const std::int16_t* panel =
         packed.pair_panels.data() +
         static_cast<std::size_t>(t) * pairs * kFilterTile * 2;
@@ -707,8 +691,7 @@ void conv_forward_into(SimdTier tier, const PackedSimd& packed, const ActCodes& 
                        int stride, int pad, float* out,
                        std::vector<std::int32_t>& cols_scratch,
                        std::vector<std::int16_t>& cols16_scratch,
-                       std::vector<std::uint8_t>& cols8_scratch,
-                       const util::ExecContext& exec) {
+                       std::vector<std::uint8_t>& cols8_scratch) {
   check_packed(packed, tier, "simd::conv_forward_into");
   if (packed.weights_per_filter !=
       static_cast<std::int64_t>(in_c) * kernel * kernel) {
@@ -728,7 +711,6 @@ void conv_forward_into(SimdTier tier, const PackedSimd& packed, const ActCodes& 
   const std::size_t spatial = static_cast<std::size_t>(oh) * ow;
   const std::size_t patch = static_cast<std::size_t>(packed.weights_per_filter);
   const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
-  const std::size_t tiles = (filters + kFilterTile - 1) / kFilterTile;
   check_fits_int32(packed, acts, patch, "simd::conv_forward_into");
 
   cols_scratch.resize(patch * spatial);
@@ -772,52 +754,38 @@ void conv_forward_into(SimdTier tier, const PackedSimd& packed, const ActCodes& 
     const std::int32_t* img = acts.codes.data() + static_cast<std::size_t>(n) * image;
     // Same im2col as the scalar kernel: the SIMD layouts only
     // change the MAC stage. Zero padding is code 0 = activation 0.0.
-    tensor::im2col_any(img, geometry, cols_data, exec);
+    tensor::im2col_any(img, geometry, cols_data);
     float* out_n = out + static_cast<std::size_t>(n) * filters * spatial;
 #if CQ_SIMD_X86
     if (use_i8) {
-      build_quad_cols(cols_data, patch, spatial, cols8_scratch.data(), exec);
-      const std::uint8_t* cols8 = cols8_scratch.data();
-      exec.parallel_for(0, static_cast<std::int64_t>(tiles),
-                        [&, out_n, cols8](std::int64_t t0, std::int64_t t1) {
-        conv_tiles_avx2_i8(packed, acts.scale, cols8, quads, spatial, out_n, t0, t1);
-      });
+      build_quad_cols(cols_data, patch, spatial, cols8_scratch.data());
+      conv_tiles_avx2_i8(packed, acts.scale, cols8_scratch.data(), quads, spatial,
+                         out_n);
       continue;
     }
     if (use_i16) {
-      build_pair_cols(cols_data, patch, spatial, cols16_scratch.data(), exec);
-      const std::int16_t* cols16 = cols16_scratch.data();
-      exec.parallel_for(0, static_cast<std::int64_t>(tiles),
-                        [&, out_n, cols16](std::int64_t t0, std::int64_t t1) {
-        conv_tiles_avx2_i16(packed, acts.scale, cols16, pairs, spatial, out_n, t0, t1);
-      });
+      build_pair_cols(cols_data, patch, spatial, cols16_scratch.data());
+      conv_tiles_avx2_i16(packed, acts.scale, cols16_scratch.data(), pairs, spatial,
+                          out_n);
       continue;
     }
 #if CQ_SIMD_SSE2_BASELINE
     if (use_sse2) {
-      build_pair_cols(cols_data, patch, spatial, cols16_scratch.data(), exec);
-      const std::int16_t* cols16 = cols16_scratch.data();
-      exec.parallel_for(0, static_cast<std::int64_t>(tiles),
-                        [&, out_n, cols16](std::int64_t t0, std::int64_t t1) {
-        conv_tiles_sse2_i16(packed, acts.scale, cols16, pairs, spatial, out_n, t0, t1);
-      });
+      build_pair_cols(cols_data, patch, spatial, cols16_scratch.data());
+      conv_tiles_sse2_i16(packed, acts.scale, cols16_scratch.data(), pairs, spatial,
+                          out_n);
       continue;
     }
 #endif
 #endif
-    exec.parallel_for(0, static_cast<std::int64_t>(tiles),
-                      [&, out_n](std::int64_t t0, std::int64_t t1) {
-      conv_tiles_portable(packed, acts.scale, cols_data, patch, spatial, out_n, t0,
-                          t1);
-    });
+    conv_tiles_portable(packed, acts.scale, cols_data, patch, spatial, out_n);
   }
 }
 
 void linear_forward_into(SimdTier tier, const PackedSimd& packed, const ActCodes& acts,
                          int batch, int in_features, float* out,
                          std::vector<std::int16_t>& acts16_scratch,
-                         std::vector<std::uint8_t>& acts8_scratch,
-                         const util::ExecContext& exec) {
+                         std::vector<std::uint8_t>& acts8_scratch) {
   check_packed(packed, tier, "simd::linear_forward_into");
   if (in_features != packed.weights_per_filter) {
     throw std::invalid_argument("simd::linear_forward_into: in_features mismatch");
@@ -828,8 +796,6 @@ void linear_forward_into(SimdTier tier, const PackedSimd& packed, const ActCodes
         "simd::linear_forward_into: activation code count mismatch");
   }
   const std::size_t features = static_cast<std::size_t>(in_features);
-  const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
-  const std::size_t tiles = (filters + kFilterTile - 1) / kFilterTile;
   check_fits_int32(packed, acts, features, "simd::linear_forward_into");
 
 #if CQ_SIMD_X86
@@ -845,31 +811,21 @@ void linear_forward_into(SimdTier tier, const PackedSimd& packed, const ActCodes
   if (use_i8) {
     const std::size_t quads = (features + 3) / 4;
     acts8_scratch.resize(static_cast<std::size_t>(batch) * quads * 4);
-    build_quad_acts(acts, batch, features, acts8_scratch.data(), exec);
-    const std::uint8_t* acts8 = acts8_scratch.data();
-    exec.parallel_for(0, static_cast<std::int64_t>(tiles),
-                      [&, acts8](std::int64_t t0, std::int64_t t1) {
-      linear_tiles_avx2_i8(packed, acts, acts8, batch, quads, out, t0, t1);
-    });
+    build_quad_acts(acts, batch, features, acts8_scratch.data());
+    linear_tiles_avx2_i8(packed, acts, acts8_scratch.data(), batch, quads, out);
     return;
   }
   if (use_i16 || use_sse2) {
     const std::size_t pairs = (features + 1) / 2;
     acts16_scratch.resize(static_cast<std::size_t>(batch) * pairs * 2);
-    build_pair_acts(acts, batch, features, acts16_scratch.data(), exec);
+    build_pair_acts(acts, batch, features, acts16_scratch.data());
     const std::int16_t* acts16 = acts16_scratch.data();
     if (use_i16) {
-      exec.parallel_for(0, static_cast<std::int64_t>(tiles),
-                        [&, acts16](std::int64_t t0, std::int64_t t1) {
-        linear_tiles_avx2_i16(packed, acts, acts16, batch, pairs, out, t0, t1);
-      });
+      linear_tiles_avx2_i16(packed, acts, acts16, batch, pairs, out);
       return;
     }
 #if CQ_SIMD_SSE2_BASELINE
-    exec.parallel_for(0, static_cast<std::int64_t>(tiles),
-                      [&, acts16](std::int64_t t0, std::int64_t t1) {
-      linear_tiles_sse2_i16(packed, acts, acts16, batch, pairs, out, t0, t1);
-    });
+    linear_tiles_sse2_i16(packed, acts, acts16, batch, pairs, out);
     return;
 #endif
   }
@@ -878,10 +834,7 @@ void linear_forward_into(SimdTier tier, const PackedSimd& packed, const ActCodes
   (void)acts8_scratch;
 #endif
 
-  exec.parallel_for(0, static_cast<std::int64_t>(tiles),
-                    [&](std::int64_t t0, std::int64_t t1) {
-    linear_tiles_portable(packed, acts, batch, features, out, t0, t1);
-  });
+  linear_tiles_portable(packed, acts, batch, features, out);
 }
 
 }  // namespace simd
@@ -923,8 +876,7 @@ SimdBackend::Path SimdBackend::resolve_path(const PlanOp& op) const {
 }
 
 void SimdBackend::run(const PlanOp& op, const ExecutionPlan& plan,
-                      const BackendIo& io, BackendScratch& scratch,
-                      const util::ExecContext& exec) const {
+                      const BackendIo& io, BackendScratch& scratch) const {
   if (op.kind == OpKind::IntConv || op.kind == OpKind::IntLinear) {
     if (prepared_for_ != &plan) {
       throw std::logic_error("SimdBackend: prepare() was not run for this plan");
@@ -940,28 +892,26 @@ void SimdBackend::run(const PlanOp& op, const ExecutionPlan& plan,
       // Same input adoption as the scalar reference: cast pre-encoded
       // grid codes, encode raw activations.
       if (op.in_codes) {
-        cast_codes_into(io.in0, in_count, op.act_hi, op.act_bits, scratch.codes,
-                        exec);
+        cast_codes_into(io.in0, in_count, op.act_hi, op.act_bits, scratch.codes);
       } else {
         encode_activations_into(io.in0, in_count, op.act_hi, op.act_bits,
-                                scratch.codes, exec);
+                                scratch.codes);
       }
       if (op.kind == OpKind::IntConv) {
         simd::conv_forward_into(tier_, packed, scratch.codes, io.batch, op.in_c,
                                 op.in_h, op.in_w, op.kernel, op.stride, op.pad,
                                 io.out, scratch.int_cols, scratch.simd_cols16,
-                                scratch.simd_cols8, exec);
+                                scratch.simd_cols8);
       } else {
         simd::linear_forward_into(tier_, packed, scratch.codes, io.batch,
                                   op.in_features, io.out, scratch.simd_cols16,
-                                  scratch.simd_cols8, exec);
+                                  scratch.simd_cols8);
       }
-      apply_epilogue(op, io, plan.slots()[static_cast<std::size_t>(op.out)].numel,
-                     exec);
+      apply_epilogue(op, io, plan.slots()[static_cast<std::size_t>(op.out)].numel);
       return;
     }
   }
-  ScalarBackend::run(op, plan, io, scratch, exec);
+  ScalarBackend::run(op, plan, io, scratch);
 }
 
 const char* SimdBackend::dispatch(const PlanOp& op) const {

@@ -5,7 +5,6 @@
 
 #include "deploy/packing.h"
 #include "tensor/tensor.h"
-#include "util/exec_context.h"
 
 namespace cq::deploy {
 
@@ -56,15 +55,13 @@ ActCodes encode_activations(const tensor::Tensor& activations, float hi, int bit
 /// Same encoding, writing into a caller-owned ActCodes whose code
 /// buffer is reused across calls (the serving hot path encodes one
 /// activation tensor per layer and must not reallocate per request).
-/// Elementwise and deterministic, so it chunks over `exec` freely.
 void encode_activations_into(const tensor::Tensor& activations, float hi, int bits,
-                             ActCodes& out, const util::ExecContext& exec = {});
+                             ActCodes& out);
 
 /// Raw-span variant for sources that live in an execution-plan arena
 /// rather than a Tensor (same arithmetic, same reuse contract).
 void encode_activations_into(const float* activations, std::size_t count, float hi,
-                             int bits, ActCodes& out,
-                             const util::ExecContext& exec = {});
+                             int bits, ActCodes& out);
 
 /// Adopts activations that already *are* grid codes — integers stored
 /// as floats by a producer's ep_encode epilogue (all <= 65535, so the
@@ -75,28 +72,21 @@ void encode_activations_into(const float* activations, std::size_t count, float 
 /// produced from the decoded values, which is what makes
 /// quantized-domain propagation byte-exact.
 void cast_codes_into(const float* codes, std::size_t count, float hi, int bits,
-                     ActCodes& out, const util::ExecContext& exec = {});
+                     ActCodes& out);
 
 /// Executes y[n,k] = s_w(k) * s_a * sum_j (2*q_w - (levels-1)) * q_a / 2
 /// + bias[k] over a [N, weights_per_filter] activation-code matrix
 /// with pure integer accumulation (std::int64_t, no wrap). This is the
 /// arithmetic an integer NPU would run; the float fake-quant forward
 /// is its reference semantics.
-///
-/// Intra-op parallelism: output filters chunk over `exec` (each thread
-/// owns whole rows of the weight-code matrix). Integer accumulation is
-/// exact and the one float rescale per output is unchanged, so results
-/// are byte-identical at every thread count.
 tensor::Tensor integer_linear_forward(const IntegerLayer& layer, const ActCodes& acts,
-                                      int batch, int in_features,
-                                      const util::ExecContext& exec = {});
+                                      int batch, int in_features);
 
 /// Same kernel writing its [batch, num_filters] outputs into a
 /// caller-owned buffer (an ExecutionPlan arena slot), so steady-state
 /// plan interpretation allocates nothing per request.
 void integer_linear_forward_into(const IntegerLayer& layer, const ActCodes& acts,
-                                 int batch, int in_features, float* out,
-                                 const util::ExecContext& exec = {});
+                                 int batch, int in_features, float* out);
 
 /// Convolution on integer codes: im2col over the [N, C, H, W]
 /// activation-code volume (zero padding is code 0, which is exactly
@@ -105,15 +95,9 @@ void integer_linear_forward_into(const IntegerLayer& layer, const ActCodes& acts
 /// weights_per_filter must equal in_c * kernel * kernel. Returns
 /// [N, num_filters, out_h, out_w] float outputs (one rescale per
 /// output, as in the FC path).
-///
-/// Intra-op parallelism: per image, the im2col code gather chunks over
-/// patch rows and the MAC stage chunks over output filters — each
-/// thread owns whole rows of the im2col GEMM, preserving the fixed
-/// per-output-element reduction order (byte-identical to serial).
 tensor::Tensor integer_conv_forward(const IntegerLayer& layer, const ActCodes& acts,
                                     int batch, int in_c, int height, int width,
-                                    int kernel, int stride, int pad,
-                                    const util::ExecContext& exec = {});
+                                    int kernel, int stride, int pad);
 
 /// Same kernel writing its [batch, num_filters, out_h, out_w] outputs
 /// into a caller-owned buffer. `cols_scratch` is the reusable im2col
@@ -121,7 +105,6 @@ tensor::Tensor integer_conv_forward(const IntegerLayer& layer, const ActCodes& a
 void integer_conv_forward_into(const IntegerLayer& layer, const ActCodes& acts,
                                int batch, int in_c, int height, int width, int kernel,
                                int stride, int pad, float* out,
-                               std::vector<std::int32_t>& cols_scratch,
-                               const util::ExecContext& exec = {});
+                               std::vector<std::int32_t>& cols_scratch);
 
 }  // namespace cq::deploy

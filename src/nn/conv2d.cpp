@@ -79,11 +79,11 @@ Tensor Conv2d::forward(const Tensor& input) {
   const std::size_t in_stride = static_cast<std::size_t>(in_channels_) * g.in_h * g.in_w;
   const std::size_t out_stride = static_cast<std::size_t>(out_channels_) * spatial;
   for (int n = 0; n < batch; ++n) {
-    tensor::im2col(input.data() + static_cast<std::size_t>(n) * in_stride, g, cols.data(),
-                   exec_);
+    tensor::im2col(input.data() + static_cast<std::size_t>(n) * in_stride, g,
+                   cols.data());
     float* out_n = out.data() + static_cast<std::size_t>(n) * out_stride;
     tensor::gemm(effective_weight_.data(), cols.data(), out_n, out_channels_, patch,
-                 spatial, /*accumulate=*/false, exec_);
+                 spatial, /*accumulate=*/false);
     if (wrap_period_ > 0.0f) {
       const std::size_t count = static_cast<std::size_t>(out_channels_) * spatial;
       for (std::size_t i = 0; i < count; ++i) {
@@ -116,12 +116,10 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     // Recompute the im2col patches of this image (cheaper than caching
     // the whole batch unfolding across the layer).
     tensor::im2col(cached_input_.data() + static_cast<std::size_t>(n) * in_stride, g,
-                   cols.data(), exec_);
-    // dW += dY_n * cols^T (STE: accumulated on master weights). Row
-    // chunks own whole filters of the gradient, so accumulation stays
-    // race-free and in fixed order.
+                   cols.data());
+    // dW += dY_n * cols^T (STE: accumulated on master weights).
     tensor::gemm_a_bt(dy_n, cols.data(), weight_.grad.data(), out_channels_, spatial,
-                      patch, /*accumulate=*/true, exec_);
+                      patch, /*accumulate=*/true);
     // db += row sums of dY_n.
     for (int c = 0; c < out_channels_; ++c) {
       const float* plane = dy_n + static_cast<std::size_t>(c) * spatial;
@@ -131,7 +129,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     }
     // dcols = W_eff^T * dY_n ; scatter-add back to the input gradient.
     tensor::gemm_at_b(effective_weight_.data(), dy_n, dcols.data(), out_channels_, patch,
-                      spatial, /*accumulate=*/false, exec_);
+                      spatial, /*accumulate=*/false);
     tensor::col2im(dcols.data(), g,
                    grad_input.data() + static_cast<std::size_t>(n) * in_stride);
   }

@@ -30,9 +30,6 @@ class Conv2d : public Module, public quant::QuantizableLayer {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
-  /// Intra-op context for the im2col + GEMM kernels of this layer's
-  /// forward/backward (row-block chunking; bit-identical to serial).
-  void set_exec_context(const util::ExecContext& exec) override { exec_ = exec; }
   std::string name() const override { return name_; }
 
   // QuantizableLayer interface.
@@ -87,7 +84,6 @@ class Conv2d : public Module, public quant::QuantizableLayer {
   Tensor effective_weight_;
   Tensor effective_bias_;
   Tensor cached_input_;
-  util::ExecContext exec_;  ///< intra-op context; default serial
   float wrap_period_ = 0.0f;
   float range_override_ = 0.0f;
 };

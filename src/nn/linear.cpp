@@ -54,7 +54,7 @@ Tensor Linear::forward(const Tensor& input) {
   const int batch = input.dim(0);
   Tensor out({batch, out_features_});
   tensor::gemm_a_bt(input.data(), effective_weight_.data(), out.data(), batch, in_features_,
-                    out_features_, /*accumulate=*/false, exec_);
+                    out_features_, /*accumulate=*/false);
   if (wrap_period_ > 0.0f) {
     for (std::size_t i = 0; i < out.numel(); ++i) {
       out[i] -= wrap_period_ * std::round(out[i] / wrap_period_);
@@ -72,7 +72,7 @@ Tensor Linear::backward(const Tensor& grad_output) {
   const int batch = grad_output.dim(0);
   // dW += dY^T X  (straight-through: accumulated on the master weight).
   tensor::gemm_at_b(grad_output.data(), cached_input_.data(), weight_.grad.data(), batch,
-                    out_features_, in_features_, /*accumulate=*/true, exec_);
+                    out_features_, in_features_, /*accumulate=*/true);
   // db += column sums of dY.
   for (int n = 0; n < batch; ++n) {
     const auto row = grad_output.row(n);
@@ -82,7 +82,7 @@ Tensor Linear::backward(const Tensor& grad_output) {
   // dX = dY W_eff (the weights used in forward).
   Tensor grad_input({batch, in_features_});
   tensor::gemm(grad_output.data(), effective_weight_.data(), grad_input.data(), batch,
-               out_features_, in_features_, /*accumulate=*/false, exec_);
+               out_features_, in_features_, /*accumulate=*/false);
   return grad_input;
 }
 

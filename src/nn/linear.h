@@ -3,7 +3,6 @@
 #include "nn/module.h"
 #include "quant/bitwidth.h"
 #include "quant/uniform.h"
-#include "util/exec_context.h"
 
 namespace cq::nn {
 
@@ -27,8 +26,6 @@ class Linear : public Module, public quant::QuantizableLayer {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
-  /// Intra-op context for the GEMM kernels of forward/backward.
-  void set_exec_context(const util::ExecContext& exec) override { exec_ = exec; }
   std::string name() const override { return name_; }
 
   // QuantizableLayer interface.
@@ -76,7 +73,6 @@ class Linear : public Module, public quant::QuantizableLayer {
   Tensor effective_weight_;
   Tensor effective_bias_;
   Tensor cached_input_;
-  util::ExecContext exec_;  ///< intra-op context; default serial
   float wrap_period_ = 0.0f;
   float range_override_ = 0.0f;
 };

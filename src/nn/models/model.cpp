@@ -11,10 +11,6 @@ void Model::set_activation_bits(int bits) {
   for (ActQuant* aq : activation_quantizers()) aq->set_bits(bits);
 }
 
-void Model::set_exec_context(const util::ExecContext& exec) {
-  body().set_exec_context(exec);
-}
-
 void Model::calibrate_activations(const Tensor& images, int batch_size) {
   const bool was_training = training();
   set_training(false);

@@ -48,10 +48,6 @@ class Model : public Module {
   /// the full-precision teacher before quantization (Section III-D).
   virtual std::unique_ptr<Model> clone() = 0;
 
-  /// Propagates the intra-op execution context to every layer in the
-  /// body chain (see Module::set_exec_context).
-  void set_exec_context(const util::ExecContext& exec) override;
-
   /// Sets the same bit-width on every activation quantizer
   /// ("activations were directly set to the desired bit-widths").
   void set_activation_bits(int bits);

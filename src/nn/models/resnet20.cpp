@@ -72,11 +72,6 @@ void BasicBlock::set_training(bool training) {
   if (down_bn_) down_bn_->set_training(training);
 }
 
-void BasicBlock::set_exec_context(const util::ExecContext& exec) {
-  conv1_->set_exec_context(exec);
-  conv2_->set_exec_context(exec);
-  if (down_conv_) down_conv_->set_exec_context(exec);
-}
 
 ResNet20::ResNet20(ResNet20Config config) : config_(std::move(config)) {
   util::Rng rng(config_.seed);

@@ -25,7 +25,6 @@ class BasicBlock : public Module {
   void collect_parameters(std::vector<Parameter*>& out) override;
   void collect_buffers(std::vector<Tensor*>& out) override;
   void set_training(bool training) override;
-  void set_exec_context(const util::ExecContext& exec) override;
   std::string name() const override { return name_; }
 
   Conv2d* conv1() { return conv1_.get(); }

@@ -27,8 +27,4 @@ void Sequential::set_training(bool training) {
   for (auto& mod : modules_) mod->set_training(training);
 }
 
-void Sequential::set_exec_context(const util::ExecContext& exec) {
-  for (auto& mod : modules_) mod->set_exec_context(exec);
-}
-
 }  // namespace cq::nn

@@ -6,10 +6,6 @@
 
 #include "tensor/tensor.h"
 
-namespace cq::util {
-struct ExecContext;
-}  // namespace cq::util
-
 namespace cq::nn {
 
 using tensor::Tensor;
@@ -56,14 +52,6 @@ class Module {
   virtual void set_training(bool training) { training_ = training; }
   bool training() const { return training_; }
 
-  /// Installs the intra-op execution context used by compute-heavy
-  /// layers (Conv2d, Linear) for their GEMM/im2col kernels. Composite
-  /// modules propagate it to their children. The context is copied (a
-  /// pool pointer plus a thread cap), must outlive the module's use,
-  /// and defaults to serial — modules that never see one behave
-  /// exactly as before. No-op for stateless modules.
-  virtual void set_exec_context(const util::ExecContext& exec) { (void)exec; }
-
   /// Diagnostic name.
   virtual std::string name() const { return "Module"; }
 
@@ -103,7 +91,6 @@ class Sequential : public Module {
   void collect_parameters(std::vector<Parameter*>& out) override;
   void collect_buffers(std::vector<Tensor*>& out) override;
   void set_training(bool training) override;
-  void set_exec_context(const util::ExecContext& exec) override;
   std::string name() const override { return "Sequential"; }
 
   std::size_t size() const { return modules_.size(); }

@@ -1,5 +1,6 @@
 #include "serve/engine_session.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
@@ -13,12 +14,13 @@ namespace cq::serve {
 
 /// One concurrent execution lane: the slot arena (every tensor of the
 /// plan, laid out by the compile-time buffer planner and scaled by the
-/// batch size) plus the backend scratch (reused activation-code and
-/// im2col buffers). The arena grows to the largest batch seen, then
-/// serving is allocation-free per request.
+/// batch size) plus one backend scratch (reused activation-code and
+/// im2col buffers) per batch chunk — exec.threads() of them, so a
+/// serial session holds exactly one. The arena grows to the largest
+/// batch seen, then serving is allocation-free per request.
 struct EngineSession::Context {
   std::vector<float> arena;
-  deploy::BackendScratch scratch;
+  std::vector<deploy::BackendScratch> scratch;
 };
 
 namespace {
@@ -82,10 +84,13 @@ EngineSession::EngineSession(std::shared_ptr<const deploy::ExecutionPlan> plan,
   backend_->prepare(*plan_);
   for (int i = 0; i < contexts; ++i) {
     auto ctx = std::make_unique<Context>();
-    // im2col scratch is per image, so its compile-time maximum is
-    // batch-independent; sizing it here keeps the hot path clean.
-    ctx->scratch.float_cols.resize(plan_->max_float_cols());
-    ctx->scratch.int_cols.reserve(plan_->max_int_cols());
+    ctx->scratch.resize(static_cast<std::size_t>(exec_.threads()));
+    for (deploy::BackendScratch& scratch : ctx->scratch) {
+      // im2col scratch is per image, so its compile-time maximum is
+      // batch-independent; sizing it here keeps the hot path clean.
+      scratch.float_cols.resize(plan_->max_float_cols());
+      scratch.int_cols.reserve(plan_->max_int_cols());
+    }
     contexts_.push_back(std::move(ctx));
     free_contexts_.push_back(contexts_.back().get());
   }
@@ -109,9 +114,9 @@ void EngineSession::release_context(Context& ctx) {
   context_available_.notify_one();
 }
 
-float* EngineSession::slot_data(Context& ctx, int slot, int batch) {
-  return ctx.arena.data() + plan_->slots()[static_cast<std::size_t>(slot)].offset *
-                                static_cast<std::size_t>(batch);
+float* EngineSession::slot_data(float* arena, int slot, int batch) const {
+  return arena + plan_->slots()[static_cast<std::size_t>(slot)].offset *
+                     static_cast<std::size_t>(batch);
 }
 
 tensor::Tensor EngineSession::run(const tensor::Tensor& batch) {
@@ -148,43 +153,75 @@ tensor::Tensor EngineSession::run(const tensor::Tensor& batch) {
 
   const std::size_t arena_floats = plan_->arena_floats() * static_cast<std::size_t>(n);
   if (ctx.arena.size() < arena_floats) ctx.arena.resize(arena_floats);
-  ctx.scratch.codes.codes.reserve(plan_->max_encode_floats() *
-                                  static_cast<std::size_t>(n));
 
-  std::memcpy(slot_data(ctx, plan_->input_slot(), n), batch.data(),
-              batch.numel() * sizeof(float));
+  // The one parallel region of a forward: min(threads, n) contiguous
+  // chunks of near-equal size (8 samples at 3 threads -> 3, 3, 2), each
+  // run as a batch of its own. A serial context (and batch 1) gets one
+  // chunk, run inline on the calling thread.
+  tensor::Tensor out({n, plan_->num_classes()});
+  const int chunks = std::min(exec_.threads(), n);
+  const auto bound = [n, chunks](std::int64_t c) {
+    return static_cast<int>(c * (n / chunks) + std::min<std::int64_t>(c, n % chunks));
+  };
+  exec_.parallel_for(0, chunks, [&](std::int64_t c0, std::int64_t c1) {
+    for (std::int64_t c = c0; c < c1; ++c) {
+      run_chunk(ctx, static_cast<std::size_t>(c), bound(c), bound(c + 1), batch, out);
+    }
+  });
+  return out;
+}
+
+void EngineSession::run_chunk(Context& ctx, std::size_t chunk, int lo, int hi,
+                              const tensor::Tensor& batch, tensor::Tensor& out) {
+  // Samples [lo, hi) run the whole plan as a batch of `rows` on their
+  // own scratch and their own arena slice [arena_floats * lo,
+  // arena_floats * hi): every slot of the per-sample layout, scaled by
+  // `rows`, fits inside it. A shared batch-n layout split by sample
+  // would not do — slots reuse arena memory across lifetimes with
+  // different per-sample sizes, so sample sub-ranges of it overlap
+  // across chunks that are at different ops.
+  const int rows = hi - lo;
+  const auto first = static_cast<std::size_t>(lo);
+  const auto count = static_cast<std::size_t>(rows);
+  float* const arena = ctx.arena.data() + plan_->arena_floats() * first;
+  deploy::BackendScratch& scratch = ctx.scratch[chunk];
+  scratch.codes.codes.reserve(plan_->max_encode_floats() * count);
+
+  const std::size_t in_row = tensor::shape_numel(plan_->sample_shape());
+  std::memcpy(slot_data(arena, plan_->input_slot(), rows), batch.data() + in_row * first,
+              in_row * count * sizeof(float));
   obs::TraceSink* const sink = trace_sink_.load(std::memory_order_acquire);
   if (sink == nullptr) {
     // The default path stays exactly the untraced interpreter loop —
     // profiling must be zero-cost when off.
-    for (const deploy::PlanOp& op : plan_->ops()) execute(ctx, op, n);
+    for (const deploy::PlanOp& op : plan_->ops()) execute(arena, scratch, op, rows);
   } else {
     const std::vector<deploy::PlanOp>& ops = plan_->ops();
     for (std::size_t i = 0; i < ops.size(); ++i) {
       const auto begin = std::chrono::steady_clock::now();
-      execute(ctx, ops[i], n);
+      execute(arena, scratch, ops[i], rows);
       const auto end = std::chrono::steady_clock::now();
       obs::OpEvent event;
       event.op = static_cast<int>(i);
-      event.batch = n;
+      event.batch = rows;
       event.ns = std::chrono::duration<double, std::nano>(end - begin).count();
       sink->on_op(event);
     }
   }
 
-  tensor::Tensor out({n, plan_->num_classes()});
-  std::memcpy(out.data(), slot_data(ctx, plan_->output_slot(), n),
-              out.numel() * sizeof(float));
-  return out;
+  const auto out_row = static_cast<std::size_t>(plan_->num_classes());
+  std::memcpy(out.data() + out_row * first, slot_data(arena, plan_->output_slot(), rows),
+              out_row * count * sizeof(float));
 }
 
-void EngineSession::execute(Context& ctx, const deploy::PlanOp& op, int batch) {
+void EngineSession::execute(float* arena, deploy::BackendScratch& scratch,
+                            const deploy::PlanOp& op, int batch) const {
   deploy::BackendIo io;
-  io.in0 = slot_data(ctx, op.in0, batch);
-  io.in1 = op.in1 >= 0 ? slot_data(ctx, op.in1, batch) : nullptr;
-  io.out = slot_data(ctx, op.out, batch);
+  io.in0 = slot_data(arena, op.in0, batch);
+  io.in1 = op.in1 >= 0 ? slot_data(arena, op.in1, batch) : nullptr;
+  io.out = slot_data(arena, op.out, batch);
   io.batch = batch;
-  backend_->run(op, *plan_, io, ctx.scratch, exec_);
+  backend_->run(op, *plan_, io, scratch);
 }
 
 }  // namespace cq::serve

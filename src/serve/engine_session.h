@@ -71,21 +71,25 @@ deploy::ExecutionPlan compile_session_plan(const deploy::QuantizedArtifact& arti
 /// serve::Server builds on this to make micro-batching a pure
 /// scheduling concern.
 ///
-/// Intra-op parallelism: the optional util::ExecContext is handed to
-/// every kernel the interpreter drives (encode, integer conv/linear,
-/// float GEMM/im2col), parallelizing *within* one forward. Kernels
-/// chunk only over independent outputs, so results stay byte-identical
-/// to serial execution at any thread count. It is for embedded callers
-/// running one large forward at a time; serve::Server passes a serial
-/// context and scales with workers instead.
+/// Intra-request parallelism: the optional util::ExecContext is used in
+/// exactly one place, run(), which makes at most one parallel region
+/// per forward. It splits the N samples into min(threads, N)
+/// contiguous chunks, and each chunk runs the whole plan as its own
+/// batch, on its own backend scratch and its own slice of the
+/// context's arena. Every kernel below this seam is serial and never
+/// sees a thread. By the batching invariant the outputs are
+/// byte-identical to a serial run at any thread count; batch 1 always
+/// runs serially. It is for embedded callers running one large batch
+/// at a time; serve::Server passes a serial context and scales with
+/// workers instead.
 class EngineSession {
  public:
   /// Compiles the artifact internally — and, at the default PlanOpt::kO1,
   /// runs the deploy::optimize_plan pass pipeline over the result — and
   /// builds the session with `contexts` concurrent execution contexts
-  /// (>= 1), an intra-op execution context (default: serial kernels),
-  /// and a kernel backend (default: deploy::kDefaultBackend). Throws
-  /// deploy::ArtifactError on malformed artifacts.
+  /// (>= 1), the threads one run() may split its batch over (default:
+  /// serial), and a kernel backend (default: deploy::kDefaultBackend).
+  /// Throws deploy::ArtifactError on malformed artifacts.
   explicit EngineSession(const deploy::QuantizedArtifact& artifact, int contexts = 1,
                          util::ExecContext exec = {},
                          std::unique_ptr<deploy::Backend> backend = nullptr,
@@ -131,7 +135,7 @@ class EngineSession {
   /// Kernel backend every op is dispatched through (already prepared
   /// against plan()).
   const deploy::Backend& backend() const { return *backend_; }
-  /// Intra-op context the kernels run under (serial by default).
+  /// Threads one run() splits its batch over (serial by default).
   const util::ExecContext& exec_context() const { return exec_; }
   /// Number of quantized layers executing on the integer path.
   std::size_t integer_layer_count() const { return plan_->integer_layers().size(); }
@@ -141,8 +145,10 @@ class EngineSession {
   /// with the default null sink the loop is exactly the untraced one —
   /// no clock reads, no virtual calls, no atomics. The sink is
   /// non-owning and must outlive the session (or be cleared first); it
-  /// must be thread-safe, since every concurrent context reports into
-  /// it (obs::PlanProfiler is). May be set or cleared while serving.
+  /// must be thread-safe, since every concurrent context — and every
+  /// batch chunk of a threaded run, each reporting its own batch of
+  /// hi - lo samples — reports into it (obs::PlanProfiler is). May be
+  /// set or cleared while serving.
   void set_trace_sink(obs::TraceSink* sink) {
     trace_sink_.store(sink, std::memory_order_release);
   }
@@ -156,13 +162,20 @@ class EngineSession {
   Context& acquire_context();
   void release_context(Context& ctx);
 
+  /// Runs the whole plan over samples [lo, hi) of `batch` as a batch of
+  /// its own, on scratch `chunk` and the arena slice that starts at
+  /// arena_floats * lo, writing rows [lo, hi) of `out`.
+  void run_chunk(Context& ctx, std::size_t chunk, int lo, int hi,
+                 const tensor::Tensor& batch, tensor::Tensor& out);
+
   /// Resolves one op record's slot pointers and dispatches it to the
-  /// backend against a context's arena for a batch of `batch` samples.
-  void execute(Context& ctx, const deploy::PlanOp& op, int batch);
+  /// backend against an arena laid out for a batch of `batch` samples.
+  void execute(float* arena, deploy::BackendScratch& scratch, const deploy::PlanOp& op,
+               int batch) const;
 
-  float* slot_data(Context& ctx, int slot, int batch);
+  float* slot_data(float* arena, int slot, int batch) const;
 
-  util::ExecContext exec_;  ///< intra-op context for all kernels
+  util::ExecContext exec_;  ///< threads one run() splits its batch over
   std::shared_ptr<const deploy::ExecutionPlan> plan_;  ///< shared, read-only
   std::unique_ptr<deploy::Backend> backend_;  ///< kernel dispatch, prepared once
   std::atomic<obs::TraceSink*> trace_sink_{nullptr};  ///< per-op profiling hook

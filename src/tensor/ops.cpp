@@ -5,72 +5,60 @@
 
 namespace cq::tensor {
 
-void gemm(const float* a, const float* b, float* c, int m, int k, int n, bool accumulate,
-          const util::ExecContext& exec) {
+void gemm(const float* a, const float* b, float* c, int m, int k, int n,
+          bool accumulate) {
   // i-k-j loop order keeps the inner loop streaming over contiguous
   // rows of B and C, which is the cache-friendly order for row-major.
-  // Each chunk owns whole rows of C, so chunking never splits (or
-  // reorders) the per-element accumulation.
-  exec.parallel_for(0, m, [=](std::int64_t i0, std::int64_t i1) {
-    if (!accumulate) {
-      std::memset(c + static_cast<std::size_t>(i0) * n, 0,
-                  sizeof(float) * static_cast<std::size_t>(i1 - i0) * n);
+  if (!accumulate) {
+    std::memset(c, 0, sizeof(float) * static_cast<std::size_t>(m) * n);
+  }
+  for (int i = 0; i < m; ++i) {
+    const float* arow = a + static_cast<std::size_t>(i) * k;
+    float* crow = c + static_cast<std::size_t>(i) * n;
+    for (int p = 0; p < k; ++p) {
+      const float av = arow[p];
+      if (av == 0.0f) continue;
+      const float* brow = b + static_cast<std::size_t>(p) * n;
+      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float* arow = a + static_cast<std::size_t>(i) * k;
-      float* crow = c + static_cast<std::size_t>(i) * n;
-      for (int p = 0; p < k; ++p) {
-        const float av = arow[p];
-        if (av == 0.0f) continue;
-        const float* brow = b + static_cast<std::size_t>(p) * n;
-        for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  });
+  }
 }
 
 void gemm_at_b(const float* a, const float* b, float* c, int k, int m, int n,
-               bool accumulate, const util::ExecContext& exec) {
-  // p stays the outer loop inside each chunk (B rows stream once per
-  // p), so every element still accumulates its k contributions in
-  // ascending-p order exactly as the serial kernel always did.
-  exec.parallel_for(0, m, [=](std::int64_t i0, std::int64_t i1) {
-    if (!accumulate) {
-      std::memset(c + static_cast<std::size_t>(i0) * n, 0,
-                  sizeof(float) * static_cast<std::size_t>(i1 - i0) * n);
+               bool accumulate) {
+  // p is the outer loop (B rows stream once per p), so every element
+  // accumulates its k contributions in ascending-p order.
+  if (!accumulate) {
+    std::memset(c, 0, sizeof(float) * static_cast<std::size_t>(m) * n);
+  }
+  for (int p = 0; p < k; ++p) {
+    const float* arow = a + static_cast<std::size_t>(p) * m;
+    const float* brow = b + static_cast<std::size_t>(p) * n;
+    for (int i = 0; i < m; ++i) {
+      const float av = arow[i];
+      if (av == 0.0f) continue;
+      float* crow = c + static_cast<std::size_t>(i) * n;
+      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
-    for (int p = 0; p < k; ++p) {
-      const float* arow = a + static_cast<std::size_t>(p) * m;
-      const float* brow = b + static_cast<std::size_t>(p) * n;
-      for (std::int64_t i = i0; i < i1; ++i) {
-        const float av = arow[i];
-        if (av == 0.0f) continue;
-        float* crow = c + static_cast<std::size_t>(i) * n;
-        for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  });
+  }
 }
 
 void gemm_a_bt(const float* a, const float* b, float* c, int m, int k, int n,
-               bool accumulate, const util::ExecContext& exec) {
-  exec.parallel_for(0, m, [=](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float* arow = a + static_cast<std::size_t>(i) * k;
-      float* crow = c + static_cast<std::size_t>(i) * n;
-      for (int j = 0; j < n; ++j) {
-        const float* brow = b + static_cast<std::size_t>(j) * k;
-        double acc = accumulate ? crow[j] : 0.0;
-        for (int p = 0; p < k; ++p) acc += static_cast<double>(arow[p]) * brow[p];
-        crow[j] = static_cast<float>(acc);
-      }
+               bool accumulate) {
+  for (int i = 0; i < m; ++i) {
+    const float* arow = a + static_cast<std::size_t>(i) * k;
+    float* crow = c + static_cast<std::size_t>(i) * n;
+    for (int j = 0; j < n; ++j) {
+      const float* brow = b + static_cast<std::size_t>(j) * k;
+      double acc = accumulate ? crow[j] : 0.0;
+      for (int p = 0; p < k; ++p) acc += static_cast<double>(arow[p]) * brow[p];
+      crow[j] = static_cast<float>(acc);
     }
-  });
+  }
 }
 
-void im2col(const float* input, const ConvGeometry& g, float* cols,
-            const util::ExecContext& exec) {
-  im2col_any(input, g, cols, exec);
+void im2col(const float* input, const ConvGeometry& g, float* cols) {
+  im2col_any(input, g, cols);
 }
 
 void col2im(const float* cols, const ConvGeometry& g, float* input_grad) {

@@ -1,32 +1,24 @@
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
+
 #include "tensor/tensor.h"
-#include "util/exec_context.h"
 
 namespace cq::tensor {
 
-/// The GEMM/im2col kernels accept an optional util::ExecContext and
-/// chunk their independent output rows over it. Every output element
-/// is produced by exactly one chunk with its reduction order fixed by
-/// the element (not the thread count), so results are bit-identical
-/// between serial and any parallel execution. The default context runs
-/// the historical serial loops unchanged.
-
 /// C = A * B for row-major A[M,K], B[K,N], C[M,N].
 /// `accumulate` adds into C instead of overwriting it.
-/// Parallelism: row blocks of A/C.
 void gemm(const float* a, const float* b, float* c, int m, int k, int n,
-          bool accumulate = false, const util::ExecContext& exec = {});
+          bool accumulate = false);
 
 /// C = A^T * B for A[K,M], B[K,N], C[M,N].
-/// Parallelism: row blocks of C (columns of A).
 void gemm_at_b(const float* a, const float* b, float* c, int k, int m, int n,
-               bool accumulate = false, const util::ExecContext& exec = {});
+               bool accumulate = false);
 
 /// C = A * B^T for A[M,K], B[N,K], C[M,N].
-/// Parallelism: row blocks of A/C.
 void gemm_a_bt(const float* a, const float* b, float* c, int m, int k, int n,
-               bool accumulate = false, const util::ExecContext& exec = {});
+               bool accumulate = false);
 
 /// Geometry of a 2-D convolution / pooling window.
 struct ConvGeometry {
@@ -46,45 +38,49 @@ struct ConvGeometry {
 /// padding applied. One implementation serves the float training path
 /// and the integer-engine code path so the geometry/padding logic can
 /// never diverge between them. cols layout: row = (c, ky, kx), col =
-/// (y, x) of the output. Rows are fully independent writes, so they
-/// chunk over the context.
+/// (y, x) of the output.
 template <typename T>
-void im2col_any(const T* input, const ConvGeometry& g, T* cols,
-                const util::ExecContext& exec = {}) {
+void im2col_any(const T* input, const ConvGeometry& geometry, T* cols) {
+  // A copy, not reads through the reference: with T = int32_t every
+  // store to `cols` could alias the geometry's int fields, and the
+  // compiler would reload them per element.
+  const ConvGeometry g = geometry;
   const int oh = g.out_h();
   const int ow = g.out_w();
   const int spatial = oh * ow;
   const int kk = g.kernel * g.kernel;
-  exec.parallel_for(0, static_cast<std::int64_t>(g.in_c) * kk,
-                    [=](std::int64_t r0, std::int64_t r1) {
-    for (std::int64_t r = r0; r < r1; ++r) {
-      const int c = static_cast<int>(r / kk);
-      const int rem = static_cast<int>(r % kk);
-      const int ky = rem / g.kernel;
-      const int kx = rem % g.kernel;
-      const T* plane = input + static_cast<std::size_t>(c) * g.in_h * g.in_w;
-      T* crow = cols + static_cast<std::size_t>(r) * spatial;
-      for (int y = 0; y < oh; ++y) {
-        const int iy = y * g.stride - g.pad + ky;
-        T* orow = crow + static_cast<std::size_t>(y) * ow;
-        if (iy < 0 || iy >= g.in_h) {
-          std::fill(orow, orow + ow, T{0});
-          continue;
-        }
-        const T* irow = plane + static_cast<std::size_t>(iy) * g.in_w;
-        for (int x = 0; x < ow; ++x) {
-          const int ix = x * g.stride - g.pad + kx;
-          orow[x] = (ix >= 0 && ix < g.in_w) ? irow[ix] : T{0};
-        }
+  const int rows = g.in_c * kk;
+  for (int r = 0; r < rows; ++r) {
+    const int c = r / kk;
+    const int rem = r % kk;
+    const int ky = rem / g.kernel;
+    const int kx = rem % g.kernel;
+    // Output columns [x_lo, x_hi) read input column x * stride + kx - pad
+    // inside the row; the columns outside are zero padding. Splitting
+    // them off keeps the copy loop free of per-element bounds checks.
+    const int shift = kx - g.pad;
+    const int x_lo = std::min(ow, std::max(0, (-shift + g.stride - 1) / g.stride));
+    const int x_hi =
+        std::max(x_lo, std::min(ow, (g.in_w - shift + g.stride - 1) / g.stride));
+    const T* plane = input + static_cast<std::size_t>(c) * g.in_h * g.in_w;
+    T* crow = cols + static_cast<std::size_t>(r) * spatial;
+    for (int y = 0; y < oh; ++y) {
+      const int iy = y * g.stride - g.pad + ky;
+      T* orow = crow + static_cast<std::size_t>(y) * ow;
+      if (iy < 0 || iy >= g.in_h) {
+        std::fill(orow, orow + ow, T{0});
+        continue;
       }
+      const T* irow = plane + static_cast<std::size_t>(iy) * g.in_w;
+      std::fill(orow, orow + x_lo, T{0});
+      for (int x = x_lo; x < x_hi; ++x) orow[x] = irow[x * g.stride + shift];
+      std::fill(orow + x_hi, orow + ow, T{0});
     }
-  });
+  }
 }
 
 /// im2col for one float image (see im2col_any).
-/// Parallelism: blocks of the patch_size output rows.
-void im2col(const float* input, const ConvGeometry& g, float* cols,
-            const util::ExecContext& exec = {});
+void im2col(const float* input, const ConvGeometry& g, float* cols);
 
 /// Inverse scatter-add of im2col: accumulates `cols` back into
 /// `input_grad` (must be zeroed by the caller for a fresh gradient).

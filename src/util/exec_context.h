@@ -9,25 +9,25 @@
 
 namespace cq::util {
 
-/// Execution context threaded through the compute kernels: which
-/// thread pool (if any) a single forward may parallelize over, and how
-/// many threads it may occupy.
+/// Execution context of one serve::EngineSession: which thread pool
+/// (if any) a single forward may split its batch over, and how many
+/// threads it may occupy.
 ///
-/// This is the single seam between a caller and the numeric kernels:
-/// an embedded serve::EngineSession caller (or a training loop) owns
-/// the pool and hands the session an ExecContext; the session passes
-/// it down through deploy:: into tensor::ops. serve::Server always
-/// passes a serial context and scales with workers instead. A
-/// default-constructed context (no pool) means strictly serial
-/// execution, so every pre-existing call site keeps its exact old
-/// behaviour without changes.
+/// An embedded EngineSession caller owns the pool and hands the
+/// session an ExecContext. The session is its only user: run() makes
+/// one parallel_for per forward over contiguous sample chunks, and
+/// every kernel below it (deploy::, tensor::) runs serially.
+/// serve::Server always passes a serial context and scales with
+/// workers instead. A default-constructed context (no pool) means
+/// strictly serial execution.
 ///
 /// Determinism contract: parallel_for() only changes *which thread*
-/// computes a chunk of outputs, never the reduction order within one
-/// output element, so kernels written against it stay bit-identical to
-/// their serial execution at any thread count.
+/// computes a chunk of independent work, never the arithmetic within
+/// one chunk, so a caller whose chunks are independent (batch samples
+/// are, by the batching invariant) stays bit-identical to its serial
+/// execution at any thread count.
 struct ExecContext {
-  ThreadPool* pool = nullptr;  ///< intra-op helper pool; nullptr = serial
+  ThreadPool* pool = nullptr;  ///< helper pool; nullptr = serial
   int max_threads = 0;  ///< cap on participating threads; <= 0 = pool size + 1
 
   /// Effective number of threads a parallel_for may occupy (>= 1; the

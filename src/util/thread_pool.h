@@ -13,9 +13,10 @@ namespace cq::util {
 /// Fixed-size worker pool executing submitted jobs in FIFO order.
 ///
 /// This is the shared concurrency primitive of the repository: the
-/// serving subsystem runs its batch workers on it, and the hot-path
-/// kernels can parallelize over it via parallel_for() without every
-/// call site reinventing thread lifecycle management.
+/// serving subsystem runs its batch workers on it, and
+/// serve::EngineSession splits one forward's batch over it via
+/// parallel_for(), without either reinventing thread lifecycle
+/// management.
 ///
 /// A pool of size 0 is a valid degenerate pool: submit() runs the job
 /// inline on the calling thread, which keeps single-threaded baselines

@@ -4,8 +4,9 @@
 // every backend produces byte-identical outputs to the scalar
 // reference — at the kernel level over randomized shapes (pruned
 // 0-bit filter rows, filter counts off the panel-tile boundary, batch
-// and thread sweeps) and at the plan level over the model zoo through
-// serve::EngineSession. Runs in the TSan and ASan/UBSan CI lanes.
+// sweeps) and at the plan level over the model zoo through
+// serve::EngineSession, whose batch chunks are swept over thread
+// counts. Runs in the TSan and ASan/UBSan CI lanes.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,8 @@
 #include "deploy/int_engine.h"
 #include "deploy/overflow.h"
 #include "deploy/plan.h"
+#include "nn/models/vgg_small.h"
+#include "obs/profiler.h"
 #include "serve/engine_session.h"
 #include "serve/server.h"
 #include "serve_fixtures.h"
@@ -76,6 +79,10 @@ ActCodes random_act_codes(std::size_t count, int bits, util::Rng& rng) {
   return acts;
 }
 
+/// Session thread counts the zoo sweeps: serial, even, odd (8 samples
+/// split 3, 3, 2), and more threads than a batch has samples.
+constexpr int kThreadCounts[] = {1, 2, 3, 8};
+
 /// ExecContext with `threads` participants (pool of threads - 1).
 struct ThreadedExec {
   explicit ThreadedExec(int threads)
@@ -92,10 +99,8 @@ void expect_bytes_equal(const float* a, const float* b, std::size_t n,
 
 /// Scalar reference session: the byte-exact baseline every other
 /// backend is compared against (the default backend is simd).
-serve::EngineSession scalar_session(std::shared_ptr<const ExecutionPlan> plan,
-                                    int contexts = 1, util::ExecContext exec = {}) {
-  return serve::EngineSession(std::move(plan), contexts, exec,
-                              make_backend(BackendKind::Scalar));
+serve::EngineSession scalar_session(std::shared_ptr<const ExecutionPlan> plan) {
+  return serve::EngineSession(std::move(plan), 1, {}, make_backend(BackendKind::Scalar));
 }
 
 /// Tiny MLP artifact with every filter at `weight_bits` and every
@@ -189,8 +194,8 @@ TEST(BackendIdentity, UncertifiedReductionsDelegateToScalar) {
 
 /// The acceptance gate at the tier this machine resolves: every
 /// registered backend over the three zoo artifacts produces logits
-/// byte-identical to the scalar reference at every batch size and
-/// thread count.
+/// byte-identical to the serial scalar reference at every batch size
+/// and thread count, untraced and with a profiler attached.
 TEST(BackendIdentity, ZooPlansByteIdenticalAcrossBackends) {
   const deploy::QuantizedArtifact artifacts[] = {serve::tiny_vgg_artifact(),
                                                  serve::tiny_mlp_artifact(),
@@ -198,24 +203,70 @@ TEST(BackendIdentity, ZooPlansByteIdenticalAcrossBackends) {
   for (const deploy::QuantizedArtifact& artifact : artifacts) {
     const auto plan =
         std::make_shared<const ExecutionPlan>(compile_plan(artifact));
-    for (const int threads : {1, 2, 8}) {
+    serve::EngineSession scalar = scalar_session(plan);
+    for (const int threads : kThreadCounts) {
       ThreadedExec te(threads);
-      serve::EngineSession scalar = scalar_session(plan, 2, te.exec);
       for (const BackendKind kind : all_backend_kinds()) {
         serve::EngineSession session(plan, 2, te.exec, make_backend(kind));
+        obs::PlanProfiler profiler(session.plan(), &session.backend());
         for (const int batch : {1, 3, 8}) {
           const Tensor input = serve::random_batch(
               plan->sample_shape(), batch,
               1000 + static_cast<std::uint64_t>(batch) * 7 + threads);
           const Tensor a = scalar.run(input);
-          const Tensor b = session.run(input);
-          ASSERT_EQ(a.shape(), b.shape());
-          expect_bytes_equal(a.data(), b.data(), a.numel(),
-                             artifact.arch.kind + " backend=" + backend_kind_name(kind) +
-                                 " batch=" + std::to_string(batch) +
-                                 " threads=" + std::to_string(threads));
+          const std::string what = artifact.arch.kind +
+                                   " backend=" + backend_kind_name(kind) +
+                                   " batch=" + std::to_string(batch) +
+                                   " threads=" + std::to_string(threads);
+          for (obs::TraceSink* sink : {static_cast<obs::TraceSink*>(nullptr),
+                                       static_cast<obs::TraceSink*>(&profiler)}) {
+            session.set_trace_sink(sink);
+            const Tensor b = session.run(input);
+            ASSERT_EQ(a.shape(), b.shape());
+            expect_bytes_equal(a.data(), b.data(), a.numel(),
+                               what + (sink != nullptr ? " traced" : ""));
+          }
+          session.set_trace_sink(nullptr);
         }
       }
+    }
+  }
+}
+
+/// A profiled session at 4 threads: every chunk of a forward reports
+/// its own ops with the samples it covered, so each op's sample total
+/// is exactly the samples served — while the logits stay those of the
+/// serial scalar reference.
+TEST(BackendIdentity, ThreadedProfileCountsEverySampleOnce) {
+  const deploy::QuantizedArtifact artifacts[] = {serve::tiny_vgg_artifact(),
+                                                 serve::tiny_mlp_artifact(),
+                                                 serve::tiny_resnet_artifact()};
+  for (const deploy::QuantizedArtifact& artifact : artifacts) {
+    const auto plan =
+        std::make_shared<const ExecutionPlan>(compile_plan(artifact));
+    serve::EngineSession scalar = scalar_session(plan);
+    ThreadedExec te(4);
+    serve::EngineSession session(plan, 1, te.exec);
+    obs::PlanProfiler profiler(session.plan(), &session.backend());
+    session.set_trace_sink(&profiler);
+    std::uint64_t served = 0;
+    for (const int batch : {1, 3, 8}) {
+      const Tensor input = serve::random_batch(plan->sample_shape(), batch,
+                                               3000 + static_cast<std::uint64_t>(batch));
+      const Tensor a = scalar.run(input);
+      const Tensor b = session.run(input);
+      ASSERT_EQ(a.shape(), b.shape());
+      expect_bytes_equal(a.data(), b.data(), a.numel(),
+                         artifact.arch.kind + " batch=" + std::to_string(batch));
+      served += static_cast<std::uint64_t>(batch);
+    }
+    session.set_trace_sink(nullptr);
+    const obs::ProfileReport report = profiler.report();
+    ASSERT_EQ(report.ops.size(), plan->ops().size());
+    for (const obs::OpProfileRow& row : report.ops) {
+      EXPECT_EQ(served, row.samples) << artifact.arch.kind << " op " << row.op;
+      // batch 1 runs as one chunk; 3 and 8 split into 3 and 4 chunks.
+      EXPECT_EQ(1u + 3u + 4u, row.calls) << artifact.arch.kind << " op " << row.op;
     }
   }
 }
@@ -266,7 +317,7 @@ TEST(GridEncode, EpilogueEncodeMatchesStdRoundOnTies) {
     std::vector<float> out = inputs;
     BackendIo io;
     io.out = out.data();
-    apply_epilogue(op, io, out.size(), {});
+    apply_epilogue(op, io, out.size());
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       ASSERT_EQ(out[i], static_cast<float>(std_round_code(inputs[i], 7.0f, 3)))
           << "x=" << inputs[i] << " relu=" << relu;
@@ -292,7 +343,7 @@ TEST(GridEncode, NonFiniteActivationsEncodeToGridEnds) {
   std::vector<float> out = inputs;
   BackendIo io;
   io.out = out.data();
-  apply_epilogue(op, io, out.size(), {});
+  apply_epilogue(op, io, out.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     const float code = static_cast<float>(expected[i]);
     EXPECT_EQ(std::memcmp(&out[i], &code, sizeof code), 0) << "i=" << i;
@@ -379,7 +430,7 @@ TEST(BackendFactory, RunWithoutPrepareThrows) {
     io.in0 = in.data();
     io.out = out.data();
     BackendScratch scratch;
-    EXPECT_THROW(backend.run(op, plan, io, scratch, {}), std::logic_error);
+    EXPECT_THROW(backend.run(op, plan, io, scratch), std::logic_error);
     return;
   }
   FAIL() << "MLP plan has no IntLinear op";
@@ -407,7 +458,7 @@ struct ForcedTier {
 
 // Filter counts straddling the kFilterTile = 8 panel boundary (odd,
 // exact multiple, one past) so tail tiles and full tiles both run,
-// swept over every reachable tier, batch and thread count, and over
+// swept over every reachable tier and batch, and over
 // activation widths that land on different kernels: 3-bit codes ride
 // the int8 maddubs path on avx2 (the shared bound proves it exact for
 // these layers), 9-bit codes exceed the u8 eligibility and ride the
@@ -439,23 +490,17 @@ TEST(BackendIdentity, SimdConvMatchesScalarAtEveryTier) {
         const Tensor reference = integer_conv_forward(
             layer, acts, batch, s.in_c, s.hw, s.hw, s.kernel, s.stride, s.pad);
         for (const SimdTier tier : reachable_simd_tiers()) {
-          for (const int threads : {1, 2, 8}) {
-            ThreadedExec te(threads);
-            std::vector<float> out(reference.numel());
-            std::vector<std::int32_t> cols;
-            std::vector<std::int16_t> cols16;
-            std::vector<std::uint8_t> cols8;
-            simd::conv_forward_into(tier, packed, acts, batch, s.in_c, s.hw, s.hw,
-                                    s.kernel, s.stride, s.pad, out.data(), cols,
-                                    cols16, cols8, te.exec);
-            expect_bytes_equal(out.data(), reference.data(), reference.numel(),
-                               std::string("simd conv tier=") +
-                                   simd_tier_name(tier) +
-                                   " act_bits=" + std::to_string(act_bits) +
-                                   " filters=" + std::to_string(s.filters) +
-                                   " batch=" + std::to_string(batch) +
-                                   " threads=" + std::to_string(threads));
-          }
+          std::vector<float> out(reference.numel());
+          std::vector<std::int32_t> cols;
+          std::vector<std::int16_t> cols16;
+          std::vector<std::uint8_t> cols8;
+          simd::conv_forward_into(tier, packed, acts, batch, s.in_c, s.hw, s.hw, s.kernel,
+                                  s.stride, s.pad, out.data(), cols, cols16, cols8);
+          expect_bytes_equal(out.data(), reference.data(), reference.numel(),
+                             std::string("simd conv tier=") + simd_tier_name(tier) +
+                                 " act_bits=" + std::to_string(act_bits) +
+                                 " filters=" + std::to_string(s.filters) +
+                                 " batch=" + std::to_string(batch));
         }
       }
     }
@@ -477,21 +522,16 @@ TEST(BackendIdentity, SimdLinearMatchesScalarAtEveryTier) {
         const Tensor reference =
             integer_linear_forward(layer, acts, batch, in_features);
         for (const SimdTier tier : reachable_simd_tiers()) {
-          for (const int threads : {1, 2, 8}) {
-            ThreadedExec te(threads);
-            std::vector<float> out(reference.numel());
-            std::vector<std::int16_t> acts16;
-            std::vector<std::uint8_t> acts8;
-            simd::linear_forward_into(tier, packed, acts, batch, in_features,
-                                      out.data(), acts16, acts8, te.exec);
-            expect_bytes_equal(out.data(), reference.data(), reference.numel(),
-                               std::string("simd linear tier=") +
-                                   simd_tier_name(tier) +
-                                   " act_bits=" + std::to_string(act_bits) +
-                                   " filters=" + std::to_string(filters) +
-                                   " batch=" + std::to_string(batch) +
-                                   " threads=" + std::to_string(threads));
-          }
+          std::vector<float> out(reference.numel());
+          std::vector<std::int16_t> acts16;
+          std::vector<std::uint8_t> acts8;
+          simd::linear_forward_into(tier, packed, acts, batch, in_features, out.data(),
+                                    acts16, acts8);
+          expect_bytes_equal(out.data(), reference.data(), reference.numel(),
+                             std::string("simd linear tier=") + simd_tier_name(tier) +
+                                 " act_bits=" + std::to_string(act_bits) +
+                                 " filters=" + std::to_string(filters) +
+                                 " batch=" + std::to_string(batch));
         }
       }
     }
@@ -547,9 +587,9 @@ TEST(BackendIdentity, SimdKernelsRefuseScalarTier) {
 }
 
 /// The zoo acceptance gate extended to the simd backend: byte-identical
-/// logits to the scalar session at every reachable tier, batch size,
-/// and thread count — proving the runtime dispatch ("same binary,
-/// different tier") preserves the contract.
+/// logits to the serial scalar session at every reachable tier, batch
+/// size, and thread count — proving the runtime dispatch ("same
+/// binary, different tier") preserves the contract.
 TEST(BackendIdentity, ZooPlansSimdByteIdenticalAtEveryTier) {
   const deploy::QuantizedArtifact artifacts[] = {serve::tiny_vgg_artifact(),
                                                  serve::tiny_mlp_artifact(),
@@ -559,10 +599,9 @@ TEST(BackendIdentity, ZooPlansSimdByteIdenticalAtEveryTier) {
     for (const deploy::QuantizedArtifact& artifact : artifacts) {
       const auto plan =
           std::make_shared<const ExecutionPlan>(compile_plan(artifact));
-      for (const int threads : {1, 2, 8}) {
+      serve::EngineSession scalar = scalar_session(plan);
+      for (const int threads : kThreadCounts) {
         ThreadedExec te(threads);
-        serve::EngineSession scalar(plan, 2, te.exec,
-                                    make_backend(BackendKind::Scalar));
         serve::EngineSession simd_session(plan, 2, te.exec,
                                           make_backend(BackendKind::Simd));
         for (const int batch : {1, 3, 8}) {
@@ -800,6 +839,49 @@ TEST(EngineSessionValidation, RejectsBadBatchesUpFront) {
   // A valid batch still runs after the failures.
   const Tensor out = session.run(Tensor::rand_uniform({3, 12}, rng, 0.0f, 1.0f));
   EXPECT_EQ(out.dim(0), 3);
+}
+
+/// End-to-end: a session built from an artifact with a thread pool
+/// (default backend, batch chunks at 2 and 3 threads) returns the
+/// serial scalar session's logits byte for byte — also the TSan target
+/// proving the chunks share no mutable state.
+TEST(ParallelKernelsEngine, SessionByteIdenticalWithIntraOpPool) {
+  nn::VggSmallConfig cfg;
+  cfg.image_size = 8;
+  cfg.num_classes = 4;
+  cfg.c1 = 4;
+  cfg.c2 = 6;
+  cfg.c3 = 8;
+  cfg.f1 = 24;
+  cfg.f2 = 16;
+  cfg.f3 = 12;
+  nn::VggSmall model(cfg);
+  util::Rng rng(42);
+  model.calibrate_activations(Tensor::rand_uniform({16, 3, 8, 8}, rng, 0.0f, 1.0f));
+  model.set_activation_bits(3);
+  const int pattern[7] = {2, 3, 1, 4, 2, 0, 2};
+  int i = 0;
+  for (const nn::ScoredLayerRef& ref : model.scored_layers()) {
+    for (quant::QuantizableLayer* layer : ref.layers) {
+      std::vector<int> bits(static_cast<std::size_t>(layer->num_filters()));
+      for (int& b : bits) b = pattern[i++ % 7];
+      layer->set_filter_bits(std::move(bits));
+    }
+  }
+  const deploy::QuantizedArtifact artifact = deploy::export_model(model);
+
+  serve::EngineSession serial(artifact, 1, {}, make_backend(BackendKind::Scalar));
+  const Tensor batch = Tensor::rand_uniform({3, 3, 8, 8}, rng, 0.0f, 1.0f);
+  const Tensor expected = serial.run(batch);
+
+  for (const int t : {2, 3}) {
+    util::ThreadPool pool(t - 1);
+    serve::EngineSession threaded(artifact, 1, util::ExecContext{&pool, t});
+    const Tensor out = threaded.run(batch);
+    ASSERT_EQ(out.shape(), expected.shape());
+    expect_bytes_equal(out.data(), expected.data(), expected.numel(),
+                       "engine threads=" + std::to_string(t));
+  }
 }
 
 }  // namespace

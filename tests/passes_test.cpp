@@ -90,11 +90,14 @@ TEST(PlanOptimize, PassLogStructureAndSummaryRoundTrip) {
 
 // The exactness contract end-to-end: an optimized session is
 // byte-identical to the as-compiled session on every zoo model, at
-// several batch sizes and intra-op thread counts, on both backends.
+// several batch sizes and session thread counts, on both backends —
+// and both are byte-identical to the serial scalar as-compiled run.
 TEST(PlanOptimize, ByteIdenticalAcrossZooBatchThreadsBackends) {
   for (const ZooEntry& entry : zoo()) {
+    serve::EngineSession serial(entry.artifact, 1, {}, make_backend(BackendKind::Scalar),
+                                serve::PlanCheck::kNone, serve::PlanOpt::kO0);
     for (const BackendKind kind : all_backend_kinds()) {
-      for (const int threads : {1, 2, 8}) {
+      for (const int threads : {1, 2, 3, 8}) {
         std::unique_ptr<util::ThreadPool> pool;
         if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads - 1);
         const util::ExecContext exec{pool.get(), threads};
@@ -104,13 +107,16 @@ TEST(PlanOptimize, ByteIdenticalAcrossZooBatchThreadsBackends) {
                                 serve::PlanCheck::kNone, serve::PlanOpt::kO1);
         for (const int batch : {1, 3, 8}) {
           const tensor::Tensor input = serve::random_batch(entry.sample, batch, 29);
-          const tensor::Tensor ref = o0.run(input);
-          const tensor::Tensor opt = o1.run(input);
-          ASSERT_EQ(ref.numel(), opt.numel());
-          EXPECT_EQ(std::memcmp(ref.data(), opt.data(), ref.numel() * sizeof(float)),
-                    0)
-              << entry.name << " backend=" << backend_kind_name(kind)
-              << " threads=" << threads << " batch=" << batch;
+          const tensor::Tensor want = serial.run(input);
+          for (serve::EngineSession* session : {&o0, &o1}) {
+            const tensor::Tensor got = session->run(input);
+            ASSERT_EQ(want.numel(), got.numel());
+            EXPECT_EQ(std::memcmp(want.data(), got.data(), want.numel() * sizeof(float)),
+                      0)
+                << entry.name << " backend=" << backend_kind_name(kind)
+                << " threads=" << threads << " batch=" << batch
+                << (session == &o1 ? " O1" : " O0");
+          }
         }
       }
     }

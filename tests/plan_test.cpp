@@ -177,7 +177,7 @@ bool byte_equal(const Tensor& a, const Tensor& b) {
 }
 
 /// The headline property: across all three zoo models, batch sizes
-/// {1, 3, 8} and intra-op thread counts {1, 2, 8}, the plan
+/// {1, 3, 8} and session thread counts {1, 2, 3, 8}, the plan
 /// interpreter is byte-identical to the module-walking pre-plan engine
 /// semantics, and within float-accumulation tolerance of the
 /// fake-quant float reference (the integer kernels reassociate the
@@ -199,13 +199,13 @@ TEST_P(PlanVsModule, ByteIdenticalAcrossBatchSizesAndThreadCounts) {
     const Tensor want = module_walk.run(batch);
     const Tensor float_want = float_reference->forward(batch);
 
-    for (const int threads : {1, 2, 8}) {
+    for (const int threads : {1, 2, 3, 8}) {
       std::unique_ptr<util::ThreadPool> pool;
       if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads - 1);
       // Every cell shares the one compiled plan — this puts the
       // shared-plan ctor under the full matrix (the artifact ctor is
       // covered by PrecompiledPlanMatchesArtifactConstructor) and
-      // avoids nine recompiles per architecture.
+      // avoids twelve recompiles per architecture.
       EngineSession session(plan, 1, util::ExecContext{pool.get(), threads});
       const Tensor got = session.run(batch);
       EXPECT_TRUE(byte_equal(got, want))
@@ -225,7 +225,8 @@ INSTANTIATE_TEST_SUITE_P(Architectures, PlanVsModule, ::testing::Values(0, 1, 2)
 
 /// Concurrent run() calls on shared contexts must also stay
 /// byte-identical to the module walk (the TSan lane runs this at 8
-/// submitter threads over 4 contexts with an intra-op pool).
+/// submitter threads over 4 contexts, each splitting its batch over a
+/// shared pool).
 TEST(PlanVsModuleConcurrent, EightSubmittersStayByteIdentical) {
   const deploy::QuantizedArtifact artifact = tiny_vgg_artifact();
   ModuleWalkReference module_walk(artifact);

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <vector>
 
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
@@ -187,6 +189,57 @@ TEST(Im2col, ZeroPaddingAtBorders) {
   // Patch row (ky=1, kx=1) (center) for output (0,0) is input(0,0)=1.
   const int spatial = g.out_h() * g.out_w();
   EXPECT_EQ(cols[static_cast<std::size_t>(4) * spatial + 0], 1.0f);
+}
+
+TEST(Im2col, MatchesDirectIndexingOverGeometries) {
+  // Every (kernel, stride, pad) combination, including windows wider
+  // than the padded input and pads larger than the kernel, against the
+  // definition: cols[(c,ky,kx)][(y,x)] = input[c][y*s-p+ky][x*s-p+kx],
+  // or 0 outside the image. Integer codes take the same template.
+  for (const int kernel : {1, 2, 3, 5}) {
+    for (const int stride : {1, 2, 3}) {
+      for (const int pad : {0, 1, 2, 4}) {
+        ConvGeometry g;
+        g.in_c = 2;
+        g.in_h = 5;
+        g.in_w = 7;
+        g.kernel = kernel;
+        g.stride = stride;
+        g.pad = pad;
+        if (g.out_h() <= 0 || g.out_w() <= 0) continue;
+        std::vector<std::int32_t> input(static_cast<std::size_t>(g.in_c) * g.in_h *
+                                        g.in_w);
+        for (std::size_t i = 0; i < input.size(); ++i) {
+          input[i] = static_cast<std::int32_t>(i) + 1;
+        }
+        const int oh = g.out_h(), ow = g.out_w();
+        std::vector<std::int32_t> cols(
+            static_cast<std::size_t>(g.patch_size()) * oh * ow, -1);
+        im2col_any(input.data(), g, cols.data());
+        std::size_t i = 0;
+        for (int c = 0; c < g.in_c; ++c) {
+          for (int ky = 0; ky < kernel; ++ky) {
+            for (int kx = 0; kx < kernel; ++kx) {
+              for (int y = 0; y < oh; ++y) {
+                for (int x = 0; x < ow; ++x, ++i) {
+                  const int iy = y * stride - pad + ky;
+                  const int ix = x * stride - pad + kx;
+                  const bool inside = iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w;
+                  const std::int32_t want =
+                      inside ? input[(static_cast<std::size_t>(c) * g.in_h + iy) * g.in_w +
+                                     ix]
+                             : 0;
+                  ASSERT_EQ(want, cols[i]) << "k=" << kernel << " s=" << stride
+                                           << " p=" << pad << " c=" << c << " ky=" << ky
+                                           << " kx=" << kx << " y=" << y << " x=" << x;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Im2col, Col2imRoundTripIsMultiplicityWeighted) {
